@@ -45,6 +45,8 @@
 //   --quiet            skip the console table
 //   --list             list built-in scenarios and registry metrics
 //
+// An unknown flag or a malformed value is a usage error (exit 1).
+//
 // Adaptive campaigns (README "Adaptive campaigns"; the spec keys
 // stop_rule / stop_delta / stop_alpha / min_replicas / max_replicas /
 // stop_metric / stop_range / stop_threshold can also live in the spec
@@ -316,12 +318,21 @@ int main(int argc, char** argv) {
   const bool metrics_debug = args.get_bool("metrics-debug", false);
   const std::string report_path = args.get_string("report", "");
   const std::string flight_dump = args.get_string("flight-dump", "");
-  // All numeric flags are read by now; a malformed value ("--seed 10x",
-  // an overflowing count) is a hard usage error, not a silent fallback
-  // to the default.
-  if (!args.errors().empty()) {
+  const bool telemetry_flag = args.get_bool("telemetry", false);
+  const bool quiet = args.get_bool("quiet", false);
+  const std::string out_flag = args.get_string("out", "");
+  const std::string manifest_flag = args.get_string("manifest", "");
+  // Every flag is read by now. A malformed value ("--seed 10x", an
+  // overflowing count, "--resume maybe") or a flag this program does not
+  // know ("--stop-rul", "--bogus-flag 7") is a hard usage error, not a
+  // silent fallback to the default.
+  const std::vector<std::string> unknown = args.unread();
+  if (!args.errors().empty() || !unknown.empty()) {
     for (const std::string& e : args.errors()) {
       std::fprintf(stderr, "%s\n", e.c_str());
+    }
+    for (const std::string& key : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
     }
     return 1;
   }
@@ -330,7 +341,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool metrics_endpoint = metrics_port_arg >= 0;
-  const bool telemetry = args.get_bool("telemetry", false) ||
+  const bool telemetry = telemetry_flag ||
                          !trace_path.empty() || progress_line ||
                          !progress_file.empty() || metrics_endpoint ||
                          !report_path.empty();
@@ -427,15 +438,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.get_bool("quiet", false)) {
+  if (!quiet) {
     seg::ConsoleSink console;
     console.write(campaign.spec, result);
   }
 
   const std::string out =
-      args.get_string("out", campaign.spec.name + ".csv");
+      out_flag.empty() ? campaign.spec.name + ".csv" : out_flag;
   const std::string manifest_path =
-      args.get_string("manifest", campaign.spec.name + ".manifest");
+      manifest_flag.empty() ? campaign.spec.name + ".manifest"
+                            : manifest_flag;
   seg::CsvSink csv(out);
   seg::ManifestSink manifest(manifest_path);
   manifest.set_info("threads", std::to_string(options.threads));

@@ -27,7 +27,8 @@ Checks (see --list):
     context.metrics_endpoint_overhead figure bench.sh recorded, which
     must stay inside its <= 2% budget.
   * README.md's bit-packed storage speedup claims equal the
-    packed-vs-prior-byte speedups recorded in BENCH_core.json.
+    speedups over the last recorded byte-storage engine in
+    BENCH_core.json.
   * README.md's adaptive-campaign replica-savings claim equals the
     context.adaptive_savings figure bench.sh recorded, which must meet
     its own >= 0.30 target.
@@ -57,25 +58,10 @@ def read_text(repo, rel):
 def check_bench_core(repo, bench):
     problems = []
     names = {b.get("name") for b in bench.get("benchmarks", [])}
-    # Trailing argument is the storage backend: 0 = byte, 1 = bit-packed.
-    # Both backends must be recorded for every flip workload.
-    for required in ("BM_Flip/2/0", "BM_Flip/2/1", "BM_Flip/4/0",
-                     "BM_Flip/4/1", "BM_Flip/10/0", "BM_Flip/10/1"):
+    for required in ("BM_Flip/2", "BM_Flip/4", "BM_Flip/10"):
         if required not in names:
             problems.append(f"BENCH_core.json is missing {required}")
     return problems
-
-
-def seed_table_key(name):
-    """Benchmark row name -> seed_ns table key.
-
-    The seed baselines predate the storage-backend split, so the table is
-    keyed without the trailing storage argument that BM_Flip and
-    BM_GlauberRun rows now carry.
-    """
-    if name.startswith(("BM_Flip/", "BM_GlauberRun/")):
-        return name.rsplit("/", 1)[0]
-    return name
 
 
 def check_seed_baselines(repo, bench):
@@ -101,7 +87,7 @@ def check_seed_baselines(repo, bench):
         recorded = b.get("seed_baseline_ns")
         if recorded is None:
             continue
-        expected = table.get(seed_table_key(name))
+        expected = table.get(name)
         if expected is None:
             problems.append(
                 f"{name} carries seed_baseline_ns={recorded} but "
@@ -280,7 +266,7 @@ def check_packed_speedup(repo, bench):
     """README packed-storage speedup claims == what bench.sh recorded.
 
     BENCH_core.json's packed_storage context carries, per workload, the
-    byte-engine time the previous PR recorded and the packed backend's
+    byte-engine time recorded before bit-packing and the packed engine's
     measured speedup over it. The README quotes those speedups; any
     drift (a re-run, an optimistic edit) is a contradiction.
     """
@@ -382,7 +368,7 @@ def check_graph_overhead(repo, bench):
     """README torus-as-graph overhead claims == what bench.sh recorded.
 
     BENCH_core.json's graph_overhead context carries, per neighborhood
-    radius w, the BM_FlipGraphTorus/<w> : BM_Flip/<w>/0 time ratio — what
+    radius w, the BM_FlipGraphTorus/<w> : BM_Flip/<w> time ratio — what
     routing the torus through the generic CSR graph engine costs over the
     native span fast path. The README quotes those factors on the line
     naming BM_FlipGraphTorus; any drift (a re-run, an optimistic edit) is
@@ -399,18 +385,18 @@ def check_graph_overhead(repo, bench):
         return ["graph_overhead context records no overhead_factor_by_w"]
     for w, row in sorted(factors.items()):
         graph = row.get("graph_ns")
-        native = row.get("native_byte_ns")
+        native = row.get("native_ns")
         factor = row.get("factor")
         if not graph or not native or factor is None:
             problems.append(
                 f"graph_overhead at w={w} is missing graph_ns / "
-                "native_byte_ns / factor")
+                "native_ns / factor")
             continue
         recomputed = round(graph / native, 2)
         if abs(recomputed - factor) > 0.011:
             problems.append(
                 f"graph_overhead at w={w} records factor {factor}x but "
-                f"graph_ns/native_byte_ns = {recomputed}x")
+                f"graph_ns/native_ns = {recomputed}x")
     line = next((ln for ln in readme.splitlines()
                  if "BM_FlipGraphTorus" in ln), None)
     if line is None:

@@ -146,6 +146,12 @@ bool ScenarioSpec::valid(std::string* error) const {
     if (error) *error = msg;
     return false;
   };
+  // The engine's window counts are int16 (lattice/membership.h).
+  auto fail_limit = [&](const std::string& msg) {
+    return fail(msg + ": neighborhoods are limited to " +
+                std::to_string(kMaxNeighborhoodSize) +
+                " sites, self included");
+  };
   if (n.empty() || w.empty() || tau.empty() || tau_minus.empty() ||
       p.empty() || shape.empty() || dynamics.empty() || topology.empty()) {
     return fail("every grid axis needs at least one value");
@@ -175,9 +181,19 @@ bool ScenarioSpec::valid(std::string* error) const {
         if (graph_clique < 2 || graph_path < 1) {
           return fail("lollipop needs graph_clique >= 2, graph_path >= 1");
         }
+        // The clique node the path hangs off has the largest
+        // neighborhood: the whole clique plus one path node.
+        if (graph_clique + 1 > kMaxNeighborhoodSize) {
+          return fail_limit("graph_clique must be <= " +
+                            std::to_string(kMaxNeighborhoodSize - 1));
+        }
         break;
       case TopologyFamily::kRandomRegular:
         if (graph_degree < 1) return fail("graph_degree must be >= 1");
+        if (graph_degree + 1 > kMaxNeighborhoodSize) {
+          return fail_limit("graph_degree must be <= " +
+                            std::to_string(kMaxNeighborhoodSize - 1));
+        }
         for (const int side : n) {
           const std::size_t nodes =
               graph_nodes > 0 ? graph_nodes
@@ -227,6 +243,11 @@ bool ScenarioSpec::valid(std::string* error) const {
     }
   }
   for (const ScenarioPoint& pt : expand_grid(*this)) {
+    if (pt.params.neighborhood_size() > kMaxNeighborhoodSize) {
+      return fail_limit("w = " + std::to_string(pt.params.w) + " gives " +
+                        std::to_string(pt.params.neighborhood_size()) +
+                        " sites (w <= 90 on the Moore stencil)");
+    }
     if (!pt.params.valid()) {
       char buf[96];
       std::snprintf(buf, sizeof(buf),

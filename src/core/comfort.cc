@@ -23,8 +23,8 @@ BinarySpinEngine ComfortModel::make_engine(const ComfortParams& params,
   return BinarySpinEngine(params.n, params.w, /*dense_window=*/true,
                           neighborhood_offsets(NeighborhoodShape::kMoore,
                                                params.w),
-                          std::move(spins), std::move(table),
-                          /*set_count=*/1, ShardLayout(), params.storage);
+                          spins, std::move(table),
+                          /*set_count=*/1);
 }
 
 BinarySpinEngine ComfortModel::make_graph_engine(
@@ -42,7 +42,7 @@ BinarySpinEngine ComfortModel::make_graph_engine(
     const int after = N - same + 1;
     return (after >= k_lo && after <= k_hi) ? (1u << kFlippableSet) : 0;
   };
-  return BinarySpinEngine(std::move(graph), std::move(spins), code_of,
+  return BinarySpinEngine(std::move(graph), spins, code_of,
                           /*set_count=*/1);
 }
 

@@ -33,8 +33,6 @@ struct ComfortParams {
   double tau_lo = 0.45;  // minimum comfortable same-type fraction
   double tau_hi = 1.0;   // maximum comfortable same-type fraction
   double p = 0.5;
-  // Engine storage backend; see ModelParams::storage.
-  EngineStorage storage = EngineStorage::kDefault;
 
   int neighborhood_size() const { return (2 * w + 1) * (2 * w + 1); }
   // Band edges for an arbitrary neighborhood size — the graph engine
@@ -54,9 +52,12 @@ struct ComfortParams {
   // Inclusive integer band [k_lo, k_hi] on the same-type count.
   int k_lo() const { return k_lo_of(tau_lo, neighborhood_size()); }
   int k_hi() const { return k_hi_of(tau_hi, neighborhood_size()); }
+  // Like ModelParams::valid(), refuses windows the int16 counts cannot
+  // hold.
   bool valid() const {
     return n > 0 && w >= 1 && 2 * w + 1 <= n && tau_lo >= 0.0 &&
-           tau_lo <= tau_hi && tau_hi <= 1.0 && p >= 0.0 && p <= 1.0;
+           tau_lo <= tau_hi && tau_hi <= 1.0 && p >= 0.0 && p <= 1.0 &&
+           neighborhood_size() <= kMaxNeighborhoodSize;
   }
 };
 
@@ -87,7 +88,7 @@ class ComfortModel {
   std::int8_t spin_at(int x, int y) const;
   // Snapshot by value; see SchellingModel::spins().
   std::vector<std::int8_t> spins() const { return engine_.spins_snapshot(); }
-  BitField packed_spins() const { return engine_.packed_spins(); }
+  const BitField& packed_spins() const { return engine_.packed_spins(); }
   std::uint32_t id_of(int x, int y) const;
 
   std::int32_t same_count(std::uint32_t id) const;

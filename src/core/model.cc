@@ -54,9 +54,8 @@ BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
   return BinarySpinEngine(params.n, params.w,
                           params.shape == NeighborhoodShape::kMoore,
                           neighborhood_offsets(params.shape, params.w),
-                          std::move(spins), std::move(table),
-                          /*set_count=*/2, std::move(layout),
-                          params.storage);
+                          spins, std::move(table),
+                          /*set_count=*/2, std::move(layout));
 }
 
 BinarySpinEngine SchellingModel::make_graph_engine(
@@ -81,7 +80,7 @@ BinarySpinEngine SchellingModel::make_graph_engine(
     if (after >= other_threshold) code |= 1u << kFlippableSet;
     return code;
   };
-  return BinarySpinEngine(std::move(graph), std::move(spins), code_of,
+  return BinarySpinEngine(std::move(graph), spins, code_of,
                           /*set_count=*/2, std::move(partition));
 }
 

@@ -16,7 +16,7 @@
 
 #include <cassert>
 
-#include "lattice/storage.h"
+#include "lattice/membership.h"
 #include "theory/bounds.h"
 
 namespace seg {
@@ -35,10 +35,6 @@ struct ModelParams {
   double p = 0.5;     // initial Bernoulli parameter for type +1
   double tau_minus = -1.0;  // optional separate intolerance for type -1
   NeighborhoodShape shape = NeighborhoodShape::kMoore;
-  // Engine storage backend; kDefault resolves to the build default
-  // (packed unless -DSEG_PACKED_DEFAULT=OFF). Trajectories are bitwise
-  // identical under either backend — this only selects the layout.
-  EngineStorage storage = EngineStorage::kDefault;
 
   int neighborhood_size() const {
     return shape == NeighborhoodShape::kMoore
@@ -62,9 +58,12 @@ struct ModelParams {
 
   bool symmetric() const { return tau_minus < 0.0 || tau_minus == tau; }
 
+  // The neighborhood must also fit the engine's int16 window counts
+  // (kMaxNeighborhoodSize sites; w <= 90 on the Moore stencil).
   bool valid() const {
     return n > 0 && w >= 1 && 2 * w + 1 <= n && tau >= 0.0 && tau <= 1.0 &&
-           p >= 0.0 && p <= 1.0 && (tau_minus < 0.0 || tau_minus <= 1.0);
+           p >= 0.0 && p <= 1.0 && (tau_minus < 0.0 || tau_minus <= 1.0) &&
+           neighborhood_size() <= kMaxNeighborhoodSize;
   }
 };
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "lattice/membership.h"
 #include "rng/rng.h"
 #include "util/parse.h"
 #include "util/seg_assert.h"
@@ -306,7 +307,18 @@ bool GraphTopology::load_edge_list(const std::string& path, GraphTopology* out,
   }
   std::fclose(f);
   if (edges.empty()) return fail("edge list '" + path + "' has no edges");
-  *out = from_edges(static_cast<std::size_t>(max_node) + 1, edges);
+  GraphTopology graph =
+      from_edges(static_cast<std::size_t>(max_node) + 1, edges);
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    if (graph.neighborhood_size(v) > kMaxNeighborhoodSize) {
+      return fail("edge list '" + path + "': node " + std::to_string(v) +
+                  " has degree " + std::to_string(graph.degree(v)) +
+                  "; neighborhoods are limited to " +
+                  std::to_string(kMaxNeighborhoodSize) +
+                  " nodes, self included");
+    }
+  }
+  *out = std::move(graph);
   return true;
 }
 

@@ -93,7 +93,8 @@ class GraphTopology {
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges);
   // Text edge list: one "u v" pair per line, '#' comments; node count is
   // 1 + the largest id seen. False (with *error) on unreadable files,
-  // malformed tokens, or an empty edge set.
+  // malformed tokens, an empty edge set, or a hub whose neighborhood
+  // exceeds kMaxNeighborhoodSize (lattice/membership.h).
   static bool load_edge_list(const std::string& path, GraphTopology* out,
                              std::string* error = nullptr);
 

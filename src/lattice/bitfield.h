@@ -1,15 +1,19 @@
-// One-bit-per-site spin storage for the packed engine backend.
+// One-bit-per-site spin storage: the engine's only spin layout.
 //
-// Layout: row-major torus rows, each padded to whole 64-bit words
-// (words_per_row = ceil(n / 64)); bit x of row y is bit (x & 63) of word
-// (y * words_per_row + x / 64), set iff the spin is +1. Padding bits
-// beyond column n - 1 are kept zero so whole-word popcounts never need a
-// row-tail mask beyond the interval being counted.
+// Layout: a width x height grid of row-major rows, each padded to whole
+// 64-bit words (words_per_row = ceil(width / 64)); bit x of row y is bit
+// (x & 63) of word (y * words_per_row + x / 64), set iff the spin is +1.
+// Padding bits beyond column width - 1 are kept zero so whole-word
+// popcounts never need a row-tail mask beyond the interval being
+// counted. The torus is n x n; a graph is node_count x 1 (one row, ids
+// in node order).
 //
 // Concurrency: the sharded sweep engine flips interior sites of distinct
 // shards from different threads. Distinct sites can share a word when a
-// checkerboard layout cuts columns at a non-64-aligned offset, so the
-// engine switches those flips to flip_atomic() (a relaxed fetch-xor).
+// checkerboard layout cuts columns at a non-64-aligned offset, and
+// always can under a graph partition (parts are not contiguous id
+// ranges), so the engine switches those flips to flip_atomic() (a
+// relaxed fetch-xor).
 // All reads go through relaxed atomic loads, which compile to plain MOVs
 // on every target we build for — zero cost serially, and no torn/UB reads
 // next to a concurrent fetch-xor on the same word.
@@ -42,36 +46,40 @@ class BitField {
  public:
   BitField() = default;
 
-  // All-minus (all bits clear) field of side n.
-  explicit BitField(int n)
-      : n_(n),
-        words_per_row_((n + 63) / 64),
-        words_(static_cast<std::size_t>(n) * words_per_row_, 0) {
-    assert(n > 0);
+  // All-minus (all bits clear) field of width x height.
+  BitField(int width, int height)
+      : width_(width),
+        height_(height),
+        words_per_row_((width + 63) / 64),
+        words_(static_cast<std::size_t>(height) * words_per_row_, 0) {
+    assert(width > 0 && height > 0);
   }
 
-  // Packs a +1/-1 spin field (bit set iff spin > 0).
-  BitField(const std::vector<std::int8_t>& spins, int n) : BitField(n) {
-    assert(spins.size() == static_cast<std::size_t>(n) * n);
-    for (int y = 0; y < n; ++y) {
-      const std::int8_t* src = spins.data() + static_cast<std::size_t>(y) * n;
+  // Packs a row-major +1/-1 spin field (bit set iff spin > 0).
+  BitField(const std::vector<std::int8_t>& spins, int width, int height)
+      : BitField(width, height) {
+    assert(spins.size() == static_cast<std::size_t>(width) * height);
+    for (int y = 0; y < height; ++y) {
+      const std::int8_t* src =
+          spins.data() + static_cast<std::size_t>(y) * width;
       std::uint64_t* dst = words_.data() + row_offset(y);
-      for (int x = 0; x < n; ++x) {
+      for (int x = 0; x < width; ++x) {
         dst[x >> 6] |= static_cast<std::uint64_t>(src[x] > 0)
                        << (x & 63);
       }
     }
   }
 
-  int side() const { return n_; }
+  int width() const { return width_; }
+  int height() const { return height_; }
   int words_per_row() const { return words_per_row_; }
-  bool empty() const { return n_ == 0; }
+  bool empty() const { return width_ == 0; }
   const std::uint64_t* row_words(int y) const {
     return words_.data() + row_offset(y);
   }
 
   bool test(std::uint32_t id) const {
-    const std::uint32_t x = id % static_cast<std::uint32_t>(n_);
+    const std::uint32_t x = id % static_cast<std::uint32_t>(width_);
     return ((load_word(word_index(id)) >> (x & 63u)) & 1u) != 0;
   }
   std::int8_t spin(std::uint32_t id) const { return test(id) ? 1 : -1; }
@@ -91,14 +99,16 @@ class BitField {
   }
 
   // +1 count over the wrapped column interval [x0, x0 + len) of row y;
-  // requires 0 <= x0 < n and 0 < len <= n. Masked popcounts over the
-  // covered words — no per-cell iteration.
+  // requires 0 <= x0 < width and 0 < len <= width. Masked popcounts over
+  // the covered words — no per-cell iteration.
   std::int32_t count_row(int y, int x0, int len) const {
-    assert(y >= 0 && y < n_ && x0 >= 0 && x0 < n_ && len > 0 && len <= n_);
+    assert(y >= 0 && y < height_ && x0 >= 0 && x0 < width_ && len > 0 &&
+           len <= width_);
     const std::uint64_t* row = words_.data() + row_offset(y);
     const int end = x0 + len;
-    if (end <= n_) return count_segment(row, x0, end);
-    return count_segment(row, x0, n_) + count_segment(row, 0, end - n_);
+    if (end <= width_) return count_segment(row, x0, end);
+    return count_segment(row, x0, width_) +
+           count_segment(row, 0, end - width_);
   }
 
   // Total +1 count (padding bits are invariantly zero).
@@ -109,11 +119,12 @@ class BitField {
   }
 
   std::vector<std::int8_t> unpack() const {
-    std::vector<std::int8_t> spins(static_cast<std::size_t>(n_) * n_);
-    for (int y = 0; y < n_; ++y) {
+    std::vector<std::int8_t> spins(static_cast<std::size_t>(width_) *
+                                   height_);
+    for (int y = 0; y < height_; ++y) {
       const std::uint64_t* src = words_.data() + row_offset(y);
-      std::int8_t* dst = spins.data() + static_cast<std::size_t>(y) * n_;
-      for (int x = 0; x < n_; ++x) {
+      std::int8_t* dst = spins.data() + static_cast<std::size_t>(y) * width_;
+      for (int x = 0; x < width_; ++x) {
         dst[x] = (src[x >> 6] >> (x & 63)) & 1u ? 1 : -1;
       }
     }
@@ -121,7 +132,8 @@ class BitField {
   }
 
   friend bool operator==(const BitField& a, const BitField& b) {
-    return a.n_ == b.n_ && a.words_ == b.words_;
+    return a.width_ == b.width_ && a.height_ == b.height_ &&
+           a.words_ == b.words_;
   }
 
  private:
@@ -129,12 +141,12 @@ class BitField {
     return static_cast<std::size_t>(y) * words_per_row_;
   }
   std::size_t word_index(std::uint32_t id) const {
-    const std::uint32_t n = static_cast<std::uint32_t>(n_);
-    return static_cast<std::size_t>(id / n) * words_per_row_ +
-           ((id % n) >> 6);
+    const std::uint32_t w = static_cast<std::uint32_t>(width_);
+    return static_cast<std::size_t>(id / w) * words_per_row_ +
+           ((id % w) >> 6);
   }
   std::uint64_t bit_of(std::uint32_t id) const {
-    const std::uint32_t x = id % static_cast<std::uint32_t>(n_);
+    const std::uint32_t x = id % static_cast<std::uint32_t>(width_);
     return 1ull << (x & 63u);
   }
   std::uint64_t load_word(std::size_t i) const {
@@ -161,7 +173,8 @@ class BitField {
                           tail);
   }
 
-  int n_ = 0;
+  int width_ = 0;
+  int height_ = 0;
   int words_per_row_ = 0;
   std::vector<std::uint64_t> words_;
 };

@@ -75,22 +75,23 @@ class HaloField {
 };
 
 // The packed counterpart of HaloField<int8_t>: a halo-padded snapshot of
-// a BitField, one bit per site. Each padded row is built from the source
-// row with three shifted word-copies OR'd together (west wrap, interior,
-// east wrap) — no per-cell loop — and a window count is a handful of
-// masked popcounts per row with no wrap arithmetic at all. Built by the
-// firewall scanners that probe every center of the grid against the same
-// immutable field.
+// an n x n BitField, one bit per site. Each padded row is built from the
+// source row with three shifted word-copies OR'd together (west wrap,
+// interior, east wrap) — no per-cell loop — and a window count is a
+// handful of masked popcounts per row with no wrap arithmetic at all.
+// Built by the firewall scanners that probe every center of the grid
+// against the same immutable field.
 class PackedHaloField {
  public:
   PackedHaloField(const BitField& bits, int halo)
-      : n_(bits.side()),
+      : n_(bits.width()),
         halo_(halo),
         stride_bits_(n_ + 2 * halo),
         words_per_row_((stride_bits_ + 63) / 64),
         words_(static_cast<std::size_t>(n_ + 2 * halo) * words_per_row_,
                0) {
     SEG_TRACE_SPAN("lattice.packed_halo_rebuild");
+    assert(bits.height() == n_);
     assert(halo >= 0 && halo <= n_);
     for (int py = 0; py < n_ + 2 * halo_; ++py) {
       const int y = torus_wrap(py - halo_, n_);

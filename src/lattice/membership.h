@@ -15,6 +15,11 @@
 
 namespace seg {
 
+// Largest neighborhood (self included) the engines can classify: window
+// counts are int16, so a count must fit in [0, 32767]. On the Moore
+// stencil that caps the horizon at w = 90.
+inline constexpr int kMaxNeighborhoodSize = 32767;
+
 class MembershipTable {
  public:
   // code_of(plus, count) -> membership bitmask for an agent of the given

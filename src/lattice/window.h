@@ -24,10 +24,11 @@ namespace seg {
 // +1 count of the radius-r window around (cx, cy) on a packed field —
 // the popcount path: one masked-popcount row count per window row
 // (BitField::count_row) instead of per-cell span iteration. (cx, cy)
-// must lie in [0, n); requires 2r+1 <= n.
+// must lie in [0, n) of the n x n field; requires 2r+1 <= n.
 inline std::int32_t packed_window_count(const BitField& bits, int cx,
                                         int cy, int r) {
-  const int n = bits.side();
+  const int n = bits.width();
+  assert(bits.height() == n);
   assert(2 * r + 1 <= n);
   assert(cx >= 0 && cx < n && cy >= 0 && cy < n);
   const int side = 2 * r + 1;

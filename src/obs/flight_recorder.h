@@ -82,6 +82,8 @@ void reset_for_test();
 #if defined(SEG_TELEMETRY_DISABLED)
 #define SEG_FLIGHT(name, a, b) \
   do {                         \
+    (void)sizeof(a);           \
+    (void)sizeof(b);           \
   } while (0)
 #else
 #define SEG_FLIGHT(name, a, b)                                   \

@@ -102,6 +102,7 @@ class TraceSpan {
   } while (0)
 #define SEG_TRACE_COUNTER(name, value) \
   do {                                 \
+    (void)sizeof(value);               \
   } while (0)
 
 #else

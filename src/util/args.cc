@@ -37,17 +37,28 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 }
 
 bool ArgParser::has(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
+}
+
+std::vector<std::string> ArgParser::unread() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) keys.push_back(key);
+  }
+  return keys;
 }
 
 std::string ArgParser::get_string(const std::string& key,
                                   std::string def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
 }
 
 std::int64_t ArgParser::get_int(const std::string& key,
                                 std::int64_t def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   std::int64_t v = 0;
@@ -60,6 +71,7 @@ std::int64_t ArgParser::get_int(const std::string& key,
 }
 
 double ArgParser::get_double(const std::string& key, double def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   double v = 0.0;
@@ -72,11 +84,13 @@ double ArgParser::get_double(const std::string& key, double def) const {
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const std::string& s = it->second;
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
+  errors_.push_back("--" + key + ": not a boolean: '" + s + "'");
   return def;
 }
 

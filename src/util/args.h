@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,11 +17,11 @@ class ArgParser {
 
   bool has(const std::string& key) const;
 
-  // Typed getters with defaults. Malformed numeric values ("10x",
-  // overflow) fall back to the default AND record a message in errors();
-  // harnesses that care check errors() after reading their flags and
-  // refuse to run, instead of silently proceeding with a default the
-  // user never asked for.
+  // Typed getters with defaults. Malformed values ("10x", overflow, a
+  // boolean that is none of true/false/1/0/yes/no/on/off) fall back to
+  // the default AND record a message in errors(); harnesses that care
+  // check errors() after reading their flags and refuse to run, instead
+  // of silently proceeding with a default the user never asked for.
   std::string get_string(const std::string& key, std::string def = "") const;
   std::int64_t get_int(const std::string& key, std::int64_t def = 0) const;
   double get_double(const std::string& key, double def = 0.0) const;
@@ -30,6 +31,11 @@ class ArgParser {
   // typed getters above, in call order.
   const std::vector<std::string>& errors() const { return errors_; }
 
+  // Flags given on the command line that no getter or has() has asked
+  // about so far, in sorted order. Read every flag first: whatever is
+  // left is a flag the program does not know (a typo, usually).
+  std::vector<std::string> unread() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_; }
 
@@ -37,9 +43,10 @@ class ArgParser {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
-  // Getters are const accessors of parse-time state; the error log is
-  // bookkeeping they append to lazily.
+  // Getters are const accessors of parse-time state; the error log and
+  // the set of keys asked about are bookkeeping they append to lazily.
   mutable std::vector<std::string> errors_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace seg

@@ -80,6 +80,28 @@ TEST(ArgParser, NegativeNumbersAsValues) {
   EXPECT_EQ(p.get_int("offset"), -5);
 }
 
+TEST(ArgParser, MalformedBoolRecordsError) {
+  const auto p = make({"--resume", "maybe", "--quiet"});
+  EXPECT_FALSE(p.get_bool("resume", false));
+  EXPECT_TRUE(p.get_bool("quiet", false));
+  ASSERT_EQ(p.errors().size(), 1u);
+  EXPECT_NE(p.errors()[0].find("--resume"), std::string::npos);
+  EXPECT_NE(p.errors()[0].find("'maybe'"), std::string::npos);
+}
+
+TEST(ArgParser, UnreadFlagsAreReported) {
+  // campaign_runner reads every flag it knows, then refuses to run if
+  // anything is left: `--bogus-flag 7` must not be silently ignored.
+  const auto p = make({"--seed", "3", "--bogus-flag", "7", "--quiet"});
+  EXPECT_EQ(p.get_int("seed"), 3);
+  EXPECT_TRUE(p.get_bool("quiet"));
+  EXPECT_FALSE(p.has("absent"));
+  EXPECT_EQ(p.unread(), std::vector<std::string>{"bogus-flag"});
+  EXPECT_TRUE(p.errors().empty());
+  EXPECT_EQ(p.get_string("bogus-flag"), "7");
+  EXPECT_TRUE(p.unread().empty());
+}
+
 TEST(ArgParser, HasIsFalseForMissing) {
   const auto p = make({"--x=1"});
   EXPECT_TRUE(p.has("x"));

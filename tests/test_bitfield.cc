@@ -1,27 +1,22 @@
 // The bit-packed storage battery.
 //
-// Layer 1 pins BitField itself: pack/unpack roundtrips, masked-popcount
-// row counts against a scalar reference at every alignment (word-multiple
-// and ragged sides), and the wrapped window popcount at every center.
-// Layer 2 pins PackedHaloField against the byte HaloField it replaces.
-// Layer 3 is the backend differential: every model policy (Glauber,
-// discrete, synchronous, comfort, Kawasaki) must reproduce the *frozen
-// golden trajectory hashes* under BOTH EngineStorage backends — the
-// packed engine is not "close to" the byte engine, it is bit-for-bit the
-// same dynamical system. Layer 4 drives sharded engines (4-stripe and
-// checkerboard layouts, the latter exercising the atomic shared-word bit
-// flips) through identical arbitrary flip sequences on both backends and
-// a packed mutation fuzz with full recount audits.
+// Layer 1 pins BitField itself: pack/unpack roundtrips on square and
+// single-row (graph) layouts, masked-popcount row counts against a
+// scalar reference at every alignment (word-multiple and ragged sides),
+// and the wrapped window popcount at every center. Layer 2 pins
+// PackedHaloField against the byte HaloField it replaces. Layer 3 drives
+// sharded engines (4-stripe and checkerboard layouts, the latter
+// exercising the atomic shared-word bit flips) through the same
+// arbitrary flip sequence as an unsharded engine, plus a mutation fuzz
+// with full recount audits. The frozen golden trajectory hashes live in
+// test_golden_trajectory.cc (torus) and test_graph_differential.cc
+// (torus-as-graph).
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
-#include "core/dynamics.h"
-#include "core/kawasaki.h"
 #include "core/model.h"
-#include "golden_fixtures.h"
 #include "lattice/bitfield.h"
 #include "lattice/halo_field.h"
 #include "lattice/sharded.h"
@@ -30,10 +25,6 @@
 
 namespace seg {
 namespace {
-
-using golden::hash_bytes;
-using golden::mix;
-using golden::mix_double;
 
 std::vector<std::int8_t> random_field(int n, std::uint64_t seed) {
   Rng rng(seed);
@@ -57,8 +48,9 @@ TEST(BitField, PackUnpackRoundtrip) {
   // word-multiple layout with no tail masking.
   for (const int n : {64, 130}) {
     const auto spins = random_field(n, 40001 + n);
-    const BitField bits(spins, n);
-    EXPECT_EQ(bits.side(), n);
+    const BitField bits(spins, n, n);
+    EXPECT_EQ(bits.width(), n);
+    EXPECT_EQ(bits.height(), n);
     EXPECT_EQ(bits.unpack(), spins);
     std::int64_t plus = 0;
     for (const std::int8_t s : spins) plus += (s == 1);
@@ -72,7 +64,7 @@ TEST(BitField, PackUnpackRoundtrip) {
 TEST(BitField, FlipAndAssignKeepPaddingClear) {
   const int n = 70;  // 6 padding bits per row
   const auto spins = random_field(n, 40002);
-  BitField bits(spins, n);
+  BitField bits(spins, n, n);
   Rng rng(40003);
   std::int64_t plus = bits.count_all();
   for (int step = 0; step < 4000; ++step) {
@@ -95,13 +87,40 @@ TEST(BitField, FlipAndAssignKeepPaddingClear) {
   EXPECT_EQ(bits.unpack(), spins);
 }
 
+TEST(BitField, SingleRowLayoutMatchesSquareLayout) {
+  // The graph engine stores node_count x 1. Every id must land on the
+  // same spin as in a square packing of the same values, with the long
+  // row's padding (1000 = 15*64 + 40) kept clear through flips.
+  const int n = 40;
+  const auto spins = random_field(n, 40007);
+  BitField row(spins, n * n, 1);
+  const BitField square(spins, n, n);
+  EXPECT_EQ(row.width(), n * n);
+  EXPECT_EQ(row.height(), 1);
+  EXPECT_EQ(row.unpack(), spins);
+  EXPECT_EQ(row.count_all(), square.count_all());
+  for (std::uint32_t id = 0; id < spins.size(); ++id) {
+    ASSERT_EQ(row.spin(id), square.spin(id)) << "id " << id;
+  }
+  Rng rng(40008);
+  std::int64_t plus = row.count_all();
+  for (int step = 0; step < 2000; ++step) {
+    const auto id =
+        static_cast<std::uint32_t>(rng.uniform_below(spins.size()));
+    plus += row.test(id) ? -1 : 1;
+    row.flip_atomic(id);
+    ASSERT_EQ(row.count_all(), plus) << "step " << step;
+  }
+  EXPECT_EQ(row.count_row(0, 0, n * n), plus);
+}
+
 TEST(BitField, CountRowMatchesScalarAtEveryAlignment) {
   // n = 192 keeps rows at exact word multiples; n = 130 leaves a 62-bit
   // ragged tail. Every (x0, len) pair covers all head/tail mask shapes,
   // the multi-word middle loop, and the wrap-around split.
   for (const int n : {192, 130}) {
     const auto spins = random_field(n, 40004 + n);
-    const BitField bits(spins, n);
+    const BitField bits(spins, n, n);
     for (const int y : {0, 1, n - 1}) {
       for (int x0 = 0; x0 < n; ++x0) {
         for (const int len : {1, 2, 63, 64, 65, 127, 128, n}) {
@@ -117,7 +136,7 @@ TEST(BitField, CountRowMatchesScalarAtEveryAlignment) {
 TEST(BitField, PackedWindowCountMatchesScalarAtEveryCenter) {
   for (const int n : {130, 64}) {
     const auto spins = random_field(n, 40005 + n);
-    const BitField bits(spins, n);
+    const BitField bits(spins, n, n);
     // r = 31 makes 2r+1 = 63 of a 64/130 torus: nearly every window wraps.
     for (const int r : {1, 5, 31}) {
       for (int cy = 0; cy < n; ++cy) {
@@ -138,7 +157,7 @@ TEST(BitField, PackedWindowCountMatchesScalarAtEveryCenter) {
 TEST(PackedHaloField, MatchesByteHaloField) {
   const int n = 96;
   const auto spins = random_field(n, 40006);
-  const BitField bits(spins, n);
+  const BitField bits(spins, n, n);
   for (const int halo : {3, 17}) {
     const HaloField<std::int8_t> bytes(spins, n, halo);
     const PackedHaloField packed(bits, halo);
@@ -158,119 +177,14 @@ TEST(PackedHaloField, MatchesByteHaloField) {
   }
 }
 
-// ---- Layer 3: backend differential against the frozen golden hashes ----
-
-const EngineStorage kBothBackends[] = {EngineStorage::kByte,
-                                       EngineStorage::kPacked};
-
-TEST(PackedDifferential, GlauberReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1001, 0);
-    SchellingModel m(p, init);
-    ASSERT_EQ(m.storage(), storage);
-    Rng dyn = Rng::stream(1001, 1);
-    const RunResult r = run_glauber(m, dyn);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kGlauber) << "storage " << static_cast<int>(storage);
-  }
-}
-
-TEST(PackedDifferential, DiscreteReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 40, .w = 2, .tau = 0.55, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1002, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1002, 1);
-    RunOptions opt;
-    opt.max_flips = 3000;
-    const RunResult r = run_discrete(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kDiscrete) << "storage " << static_cast<int>(storage);
-  }
-}
-
-TEST(PackedDifferential, SynchronousReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 32, .w = 2, .tau = 0.45, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1004, 0);
-    SchellingModel m(p, init);
-    const RunResult r = run_synchronous(m, 64);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix(h, r.rounds);
-    h = mix(h, r.cycle_detected ? 1 : 0);
-    EXPECT_EQ(h, golden::kSynchronous)
-        << "storage " << static_cast<int>(storage);
-  }
-}
-
-TEST(PackedDifferential, ComfortReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1005, 0);
-    ComfortModel m(p, init);
-    Rng dyn = Rng::stream(1005, 1);
-    const ComfortRunResult r = run_comfort(m, dyn, 5000);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kComfort) << "storage " << static_cast<int>(storage);
-  }
-}
-
-TEST(PackedDifferential, KawasakiReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 32, .w = 2, .tau = 0.4, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1007, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1007, 1);
-    KawasakiOptions opt;
-    opt.max_swaps = 1500;
-    const KawasakiResult r = run_kawasaki(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.swaps);
-    h = mix(h, r.proposals);
-    EXPECT_EQ(h, golden::kKawasaki) << "storage " << static_cast<int>(storage);
-  }
-}
-
-// The sparse von Neumann stencil takes the generic (non-span) flip path;
-// the packed backend must agree there too, asymmetric thresholds included.
-TEST(PackedDifferential, AsymVonNeumannReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 40, .w = 3, .tau = 0.4, .p = 0.5, .tau_minus = 0.55,
-                  .shape = NeighborhoodShape::kVonNeumann};
-    p.storage = storage;
-    Rng init = Rng::stream(1003, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1003, 1);
-    RunOptions opt;
-    opt.max_flips = 4000;
-    const RunResult r = run_glauber(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kAsymVonNeumann)
-        << "storage " << static_cast<int>(storage);
-  }
-}
-
 // ---- Layer 4: sharded layouts and packed mutation fuzz ----
 
-TEST(PackedDifferential, ShardedLayoutsMatchByteBackendFlipForFlip) {
+TEST(PackedDifferential, ShardedEngineMatchesUnshardedFlipForFlip) {
   // n = 36 with a 3x3 checkerboard cuts columns at 12/24 — off 64-bit
-  // alignment, so shards share spin words and the packed engine routes
-  // those flips through the atomic fetch-xor path.
+  // alignment, so shards share spin words and the engine routes those
+  // flips through the atomic fetch-xor path. Sharding only splits the
+  // sets; every spin, count and classification must match the unsharded
+  // engine after every flip.
   ModelParams params{.n = 36, .w = 2, .tau = 0.45, .p = 0.5};
   for (const bool checkers : {false, true}) {
     const ShardLayout layout =
@@ -278,45 +192,45 @@ TEST(PackedDifferential, ShardedLayoutsMatchByteBackendFlipForFlip) {
                  : ShardLayout::stripes(params.n, params.w, 4);
     Rng spin_rng(41001);
     const auto spins = random_spins(params.n, 0.5, spin_rng);
-    ModelParams bp = params;
-    bp.storage = EngineStorage::kByte;
-    SchellingModel byte_model(bp, spins, layout);
-    ModelParams pp = params;
-    pp.storage = EngineStorage::kPacked;
-    SchellingModel packed_model(pp, spins, layout);
+    SchellingModel serial(params, spins);
+    SchellingModel sharded(params, spins, layout);
     Rng rng(41002 + checkers);
     for (int step = 0; step < 6000; ++step) {
       const auto id = static_cast<std::uint32_t>(
-          rng.uniform_below(byte_model.agent_count()));
-      byte_model.flip(id);
-      packed_model.flip(id);
+          rng.uniform_below(serial.agent_count()));
+      serial.flip(id);
+      sharded.flip(id);
+      ASSERT_EQ(sharded.spin(id), serial.spin(id)) << "step " << step;
+      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id))
+          << "step " << step;
+      ASSERT_EQ(sharded.in_unhappy_set(id), serial.in_unhappy_set(id))
+          << "step " << step;
+      ASSERT_EQ(sharded.in_flippable_set(id), serial.in_flippable_set(id))
+          << "step " << step;
     }
-    ASSERT_TRUE(packed_model.check_invariants());
-    EXPECT_EQ(packed_model.spins(), byte_model.spins());
-    EXPECT_EQ(packed_model.count_unhappy(), byte_model.count_unhappy());
-    for (int s = 0; s < packed_model.shard_count(); ++s) {
-      EXPECT_EQ(packed_model.unhappy_set(s).size(),
-                byte_model.unhappy_set(s).size())
-          << "shard " << s;
+    ASSERT_TRUE(sharded.check_invariants());
+    EXPECT_EQ(sharded.packed_spins(), serial.packed_spins());
+    EXPECT_EQ(sharded.count_unhappy(), serial.count_unhappy());
+    EXPECT_EQ(sharded.count_flippable(), serial.count_flippable());
+    for (std::uint32_t id = 0; id < serial.agent_count(); ++id) {
+      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id)) << "id " << id;
     }
   }
 }
 
 TEST(PackedFuzz, ArbitraryFlipsKeepPackedInvariants) {
-  // Arbitrary-site mutation fuzz pinned to the packed backend (the
-  // invariant-fuzz suite runs whatever the build default resolves to;
-  // this one must exercise the bit path even under SEG_PACKED_DEFAULT=OFF
-  // builds). w = 10 on n = 24 wraps every window past the seam.
+  // Arbitrary-site mutation fuzz with full recount audits and a check
+  // that the bits and the byte snapshot agree. w = 10 on n = 24 wraps
+  // every window past the seam.
   struct Config {
     ModelParams params;
     std::uint64_t seed;
   };
-  Config configs[] = {
+  const Config configs[] = {
       {{.n = 32, .w = 2, .tau = 0.45, .p = 0.5}, 42001},
       {{.n = 24, .w = 10, .tau = 0.55, .p = 0.4}, 42002},
   };
-  for (Config& config : configs) {
-    config.params.storage = EngineStorage::kPacked;
+  for (const Config& config : configs) {
     Rng rng(config.seed);
     SchellingModel model(config.params, rng);
     ASSERT_TRUE(model.check_invariants());

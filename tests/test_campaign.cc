@@ -12,6 +12,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/metrics.h"
 #include "campaign/sinks.h"
+#include "core/comfort.h"
 
 namespace seg {
 namespace {
@@ -106,6 +107,27 @@ TEST(Scenario, ParseRejectsUnknownMetricAndKey) {
                                    &error));
   EXPECT_NE(error.find("no_such_metric"), std::string::npos);
   EXPECT_FALSE(ScenarioSpec::parse("frobnicate = 3\n", &spec, &error));
+}
+
+TEST(Scenario, RejectsWindowsBeyondInt16Counts) {
+  // The engine counts windows in int16: w = 90 (181^2 = 32761 sites) is
+  // the largest Moore horizon; w = 91 must be refused with the limit
+  // named, by the spec layer and by the params themselves.
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::parse("n = 200\nw = 90\n", &spec, &error))
+      << error;
+  EXPECT_FALSE(ScenarioSpec::parse("n = 200\nw = 2, 91\n", &spec, &error));
+  EXPECT_NE(error.find("w = 91"), std::string::npos) << error;
+  EXPECT_NE(error.find("32767"), std::string::npos) << error;
+  ModelParams params{.n = 200, .w = 90};
+  EXPECT_TRUE(params.valid());
+  params.w = 91;
+  EXPECT_FALSE(params.valid());
+  ComfortParams comfort{.n = 200, .w = 90};
+  EXPECT_TRUE(comfort.valid());
+  comfort.w = 91;
+  EXPECT_FALSE(comfort.valid());
 }
 
 TEST(Scenario, ParseAcceptsCommentsAndSpecFileShape) {

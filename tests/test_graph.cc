@@ -2,7 +2,9 @@
 // satellites that shipped with it:
 //  * builder invariants — torus rows in stencil order, lollipop degree
 //    spectrum, random-regular degree exactness, small-world edge
-//    conservation, edge-list round-trips and malformed-input refusal;
+//    conservation, edge-list round-trips and malformed-input refusal,
+//    and refusal of hubs beyond the engine's int16 count limit (at
+//    import and at engine construction);
 //  * greedy-BFS partition coverage/balance and the boundary definition;
 //  * randomized flip fuzz over all three synthetic families: engine
 //    invariant audit, degree conservation, magnetization bookkeeping;
@@ -11,10 +13,12 @@
 //  * ArgParser malformed-value recording;
 //  * checkpoint torn-write refusal (truncations must never load);
 //  * ScenarioSpec topology keys: round-trip, default-text stability
-//    (hash compatibility), graph-parameter validation.
+//    (hash compatibility), graph-parameter validation (count limit
+//    included).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "graph/partition.h"
 #include "graph/topology.h"
 #include "grid/point.h"
+#include "lattice/membership.h"
 #include "rng/rng.h"
 #include "util/args.h"
 #include "util/parse.h"
@@ -159,6 +164,60 @@ TEST(GraphTopologyTest, EdgeListRefusesMalformedInput) {
   std::remove(path.c_str());
   EXPECT_FALSE(GraphTopology::load_edge_list(
       ::testing::TempDir() + "seg_no_such_file.txt", &g, &error));
+}
+
+// A star whose hub neighborhood (hub + leaves) is `hub_neighborhood`.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> star_edges(
+    std::uint32_t hub_neighborhood) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t leaf = 1; leaf < hub_neighborhood; ++leaf) {
+    edges.emplace_back(0, leaf);
+  }
+  return edges;
+}
+
+TEST(GraphTopologyTest, EdgeListRefusesHubBeyondCountLimit) {
+  // Window counts are int16: a hub with kMaxNeighborhoodSize + 1 sites in
+  // its neighborhood must be refused at import, naming node and limit;
+  // one exactly at the limit loads.
+  const std::string path = ::testing::TempDir() + "seg_edges_hub.txt";
+  for (const int hub : {kMaxNeighborhoodSize, kMaxNeighborhoodSize + 1}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (const auto& [a, b] : star_edges(static_cast<std::uint32_t>(hub))) {
+      std::fprintf(f, "%u %u\n", a, b);
+    }
+    std::fclose(f);
+    GraphTopology g;
+    std::string error;
+    const bool loaded = GraphTopology::load_edge_list(path, &g, &error);
+    if (hub <= kMaxNeighborhoodSize) {
+      EXPECT_TRUE(loaded) << error;
+      EXPECT_EQ(g.max_neighborhood_size(), hub);
+    } else {
+      EXPECT_FALSE(loaded);
+      EXPECT_NE(error.find("node 0"), std::string::npos) << error;
+      EXPECT_NE(error.find("32767"), std::string::npos) << error;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(GraphTopologyDeathTest, EngineRefusesHubBeyondCountLimit) {
+  // Graphs built in code bypass load_edge_list; the engine itself must
+  // refuse a neighborhood its int16 counts cannot hold, in every build.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::from_edges(
+          kMaxNeighborhoodSize + 1,
+          star_edges(static_cast<std::uint32_t>(kMaxNeighborhoodSize + 1))));
+  const ModelParams params{.tau = 0.45, .p = 0.5};
+  EXPECT_DEATH(
+      {
+        Rng rng(7);
+        SchellingModel model(params, graph, rng);
+      },
+      "int16 count limit of 32767");
 }
 
 // ---- partition --------------------------------------------------------------
@@ -385,6 +444,23 @@ TEST(ScenarioTopologyTest, ValidRejectsBadGraphSpecs) {
   spec.metrics = {"flips", "mean_mono_region"};
   EXPECT_FALSE(spec.valid(&error));
   EXPECT_NE(error.find("mean_mono_region"), std::string::npos) << error;
+  // Neighborhoods beyond the engine's int16 count limit are refused up
+  // front with the limit named: a random-regular degree, a lollipop
+  // clique (its joint node also sees one path node).
+  spec.metrics = {"flips"};
+  spec.graph_nodes = 40000;
+  spec.graph_degree = kMaxNeighborhoodSize;
+  EXPECT_FALSE(spec.valid(&error));
+  EXPECT_NE(error.find("32767"), std::string::npos) << error;
+  spec.graph_degree = kMaxNeighborhoodSize - 1;
+  EXPECT_TRUE(spec.valid(&error)) << error;
+  spec.topology = {TopologyFamily::kLollipop};
+  spec.graph_clique = kMaxNeighborhoodSize;
+  EXPECT_FALSE(spec.valid(&error));
+  EXPECT_NE(error.find("graph_clique"), std::string::npos) << error;
+  EXPECT_NE(error.find("32767"), std::string::npos) << error;
+  spec.graph_clique = kMaxNeighborhoodSize - 1;
+  EXPECT_TRUE(spec.valid(&error)) << error;
   // Unknown topology names are parse errors naming the family.
   ScenarioSpec parsed;
   EXPECT_FALSE(ScenarioSpec::parse("topology = mobius\n", &parsed, &error));

@@ -207,6 +207,61 @@ TEST(GraphDifferential, MultiPartGlauberInvariantAcrossThreadCounts) {
   }
 }
 
+// Graph parts are not contiguous id ranges, so on the one-row bit layout
+// nearly every 64-bit spin word holds nodes of several parts, and
+// concurrent phase-A flips land on shared words. A lost bit update would
+// leave a count that disagrees with a recount (check_invariants) or a
+// result that depends on the thread count or the run; 8 parts over 4096
+// nodes and repeated 4-thread runs give the atomic flip path real
+// contention.
+TEST(GraphDifferential, MultiPartRandomRegularSharesSpinWords) {
+  ModelParams p{.tau = 0.45, .p = 0.5};
+  const auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(4096, 6, /*seed=*/13));
+  const GraphPartition partition = GraphPartition::greedy_bfs(*graph, 8);
+  ASSERT_EQ(partition.part_count(), 8);
+  std::size_t mixed_words = 0;
+  for (std::uint32_t base = 0; base < graph->node_count(); base += 64) {
+    for (std::uint32_t v = base + 1; v < base + 64; ++v) {
+      if (partition.part_of(v) != partition.part_of(base)) {
+        ++mixed_words;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(mixed_words, 32u) << "parts should interleave within words";
+
+  Rng init = Rng::stream(3003, 0);
+  const auto spins = random_spins_count(graph->node_count(), p.p, init);
+  std::uint64_t reference_hash = 0;
+  ParallelRunResult reference;
+  bool have_reference = false;
+  for (const std::size_t threads : {1u, 2u, 4u, 4u, 4u}) {
+    SchellingModel model(p, graph, spins, partition);
+    ParallelOptions opt;
+    opt.threads = threads;
+    const ParallelRunResult run =
+        run_parallel_glauber(model, /*seed=*/988003, opt);
+    ASSERT_TRUE(model.check_invariants()) << threads << " threads";
+    EXPECT_GT(run.flips, 1000u);
+    const auto field = model.spins();
+    std::uint64_t h = hash_bytes(field.data(), field.size());
+    h = mix(h, run.flips);
+    h = mix(h, run.sweeps);
+    if (!have_reference) {
+      reference_hash = h;
+      reference = run;
+      have_reference = true;
+      continue;
+    }
+    EXPECT_EQ(h, reference_hash) << threads << " threads";
+    EXPECT_EQ(run.flips, reference.flips);
+    EXPECT_EQ(run.deferred, reference.deferred);
+    EXPECT_EQ(run.reconciled, reference.reconciled);
+    EXPECT_EQ(run.final_time, reference.final_time);
+  }
+}
+
 // The partition isolation guarantee phase A relies on, verified directly:
 // a flip at a non-boundary node touches only nodes of its own part.
 TEST(GraphDifferential, PartitionIsolationInvariant) {
