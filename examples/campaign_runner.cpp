@@ -83,6 +83,7 @@
 // outputs are bitwise identical with and without these flags — including
 // with a live scraper hitting the endpoint (the handlers read registry
 // snapshots only).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -93,6 +94,7 @@
 #include "campaign/builtin.h"
 #include "campaign/metrics.h"
 #include "campaign/sinks.h"
+#include "graph/topology.h"
 #include "obs/endpoint.h"
 #include "obs/flight_recorder.h"
 #include "obs/progress.h"
@@ -339,6 +341,21 @@ int main(int argc, char** argv) {
   if (metrics_port_arg > 65535) {
     std::fprintf(stderr, "--metrics-port must be in [0, 65535]\n");
     return 1;
+  }
+  // An unreadable edge list would otherwise reach every replica and come
+  // back as NaN rows with exit 0; load it once before anything runs.
+  if (std::any_of(campaign.points.begin(), campaign.points.end(),
+                  [](const seg::ScenarioPoint& pt) {
+                    return pt.topology == seg::TopologyFamily::kEdgeList;
+                  })) {
+    seg::GraphTopology graph;
+    std::string error;
+    if (!seg::GraphTopology::load_edge_list(campaign.spec.graph_file, &graph,
+                                            &error)) {
+      std::fprintf(stderr, "cannot load graph_file '%s': %s\n",
+                   campaign.spec.graph_file.c_str(), error.c_str());
+      return 1;
+    }
   }
   const bool metrics_endpoint = metrics_port_arg >= 0;
   const bool telemetry = telemetry_flag ||

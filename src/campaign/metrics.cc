@@ -10,6 +10,7 @@
 #include "core/parallel_dynamics.h"
 #include "graph/partition.h"
 #include "graph/topology.h"
+#include "graph/topology_registry.h"
 #include "lattice/sharded.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -163,12 +164,16 @@ constexpr MetricEntry kRegistry[] = {
 };
 
 // Constructs the topology a non-torus point runs on, from the spec's
-// graph_* parameters. nullptr (with *why) when construction fails — in
-// practice only for edge_list files, since ScenarioSpec::valid() already
-// vetted the synthetic-family parameters.
+// graph_* parameters and the point's n/w/shape — never the replica seed,
+// which is what lets the replicas of a point share one build. nullptr
+// (with *why) when construction fails — in practice only for edge_list
+// files, since ScenarioSpec::valid() already vetted the synthetic-family
+// parameters.
 std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
                                                     const ScenarioPoint& point,
                                                     std::string* why) {
+  SEG_TRACE_SPAN("topology_build");
+  SEG_COUNT("graph.topology_builds", 1);
   switch (point.topology) {
     case TopologyFamily::kTorus:
       break;
@@ -293,22 +298,29 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     }
     fns.push_back(fn);
   }
-  return [spec, fns, needs_streaming](const ScenarioPoint& point,
-                                      std::size_t /*replica*/,
-                                      std::uint64_t replica_seed) {
+  // Replicas of one point that are in flight together share its graph,
+  // keyed by point.index; the registry is empty between runs.
+  auto topologies = std::make_shared<TopologyRegistry>();
+  return [spec, fns, needs_streaming, topologies](const ScenarioPoint& point,
+                                                  std::size_t /*replica*/,
+                                                  std::uint64_t replica_seed) {
     if (point.topology != TopologyFamily::kTorus) {
       // Graph-topology replica: same stream layout as the torus path
       // (0 = init, 1 = dynamics, 2 = measurement), the model built over
       // the point's GraphTopology with per-node thresholds. Streaming
       // metrics are lattice-only and already refused by valid(), so no
-      // observer is attached here.
-      std::string why;
-      const std::shared_ptr<const GraphTopology> graph =
-          build_topology(spec, point, &why);
+      // observer is attached here. The lease outlives the model, so the
+      // last replica of a point to finish frees its graph.
+      const TopologyRegistry::Lease lease =
+          topologies->acquire(point.index, [&](std::string* why) {
+            return build_topology(spec, point, why);
+          });
+      const std::shared_ptr<const GraphTopology>& graph = lease.graph();
       if (!graph) {
         std::fprintf(stderr,
                      "campaign: point %zu: cannot build %s topology: %s\n",
-                     point.index, topology_name(point.topology), why.c_str());
+                     point.index, topology_name(point.topology),
+                     lease.error().c_str());
         return std::vector<double>(fns.size(), nan_metric());
       }
       const bool sharded =

@@ -89,7 +89,9 @@ std::vector<std::string> expand_metric_names(
 // Builds the engine ReplicaFn for the built-in Schelling model: constructs
 // the model from the point's params, runs the point's dynamics, then
 // evaluates spec.metrics (which must all be known). The spec is captured
-// by value.
+// by value. Graph points build their topology once per group of replicas
+// in flight together (graph/topology_registry.h, keyed by point.index),
+// so one ReplicaFn serves one point list at a time.
 ReplicaFn make_schelling_replica(const ScenarioSpec& spec);
 
 }  // namespace seg

@@ -33,8 +33,9 @@ bool parse_shape(const std::string& name, NeighborhoodShape* out);
 
 // Which topology the replicas run on. kTorus is the native span engine
 // (the default, bitwise the legacy trajectories); the rest construct a
-// GraphTopology (graph/topology.h) per replica and run the same dynamics
-// through the engine's graph mode with per-node thresholds.
+// GraphTopology (graph/topology.h), shared by the point's replicas in
+// flight together, and run the same dynamics through the engine's graph
+// mode with per-node thresholds.
 enum class TopologyFamily {
   kTorus,          // native n x n torus, span/popcount fast path
   kLollipop,       // clique of graph_clique nodes + path of graph_path

@@ -231,28 +231,44 @@ GraphTopology GraphTopology::small_world(int n,
 GraphTopology GraphTopology::from_edges(
     std::size_t nodes,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  std::vector<std::vector<std::uint32_t>> adj(nodes);
-  for (std::uint32_t v = 0; v < nodes; ++v) adj[v].push_back(v);
+  // CSR in place: count row lengths (self + both endpoints of every
+  // non-loop edge), prefix-sum them into row starts, scatter, then sort
+  // and deduplicate each row while compacting the rows leftward.
+  GraphTopology g;
+  g.offsets_.assign(nodes + 1, 1);
+  g.offsets_[0] = 0;
   for (const auto& [a, b] : edges) {
     SEG_ASSERT(a < nodes && b < nodes,
                "edge " << a << "-" << b << " out of range for " << nodes
                        << " nodes");
     if (a == b) continue;
-    adj[a].push_back(b);
-    adj[b].push_back(a);
+    ++g.offsets_[a + 1];
+    ++g.offsets_[b + 1];
   }
-  GraphTopology g;
-  g.offsets_.resize(nodes + 1);
+  for (std::size_t v = 0; v < nodes; ++v) g.offsets_[v + 1] += g.offsets_[v];
+  g.adj_.resize(g.offsets_[nodes]);
+  std::vector<std::size_t> fill(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (std::uint32_t v = 0; v < nodes; ++v) g.adj_[fill[v]++] = v;
+  for (const auto& [a, b] : edges) {
+    if (a == b) continue;
+    g.adj_[fill[a]++] = b;
+    g.adj_[fill[b]++] = a;
+  }
+  std::uint32_t* const adj = g.adj_.data();
   std::size_t at = 0;
-  for (std::uint32_t v = 0; v < nodes; ++v) {
-    auto& list = adj[v];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  for (std::size_t v = 0; v < nodes; ++v) {
+    std::uint32_t* const first = adj + g.offsets_[v];
+    std::uint32_t* const last = adj + g.offsets_[v + 1];
+    std::sort(first, last);
+    std::uint32_t* const unique_end = std::unique(first, last);
     g.offsets_[v] = at;
-    g.adj_.insert(g.adj_.end(), list.begin(), list.end());
-    at += list.size();
+    // The row moves left (at <= its old start), so a forward copy is safe
+    // once the rows stop coinciding.
+    if (adj + at != first) std::copy(first, unique_end, adj + at);
+    at += static_cast<std::size_t>(unique_end - first);
   }
   g.offsets_[nodes] = at;
+  g.adj_.resize(at);
   return g;
 }
 

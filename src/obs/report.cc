@@ -52,6 +52,7 @@ RunReport build_report(const CampaignResult& result, double wall_time_s) {
 
   Registry& reg = Registry::instance();
   rep.flips = reg.counter_value("engine.flips");
+  rep.topology_builds = reg.counter_value("graph.topology_builds");
   rep.checkpoints_written = reg.counter_value("campaign.checkpoints");
 
   for (const MetricSample& s : reg.snapshot()) {
@@ -119,7 +120,9 @@ std::string render_json(const RunReport& r) {
   out += std::string("    \"complete\": ") + (r.complete ? "true" : "false") +
          ",\n";
   out += "    \"wall_time_s\": " + fmt_double(r.wall_time_s) + ",\n";
-  out += "    \"flips\": " + fmt_u64(r.flips) + "\n  },\n";
+  out += "    \"flips\": " + fmt_u64(r.flips) + ",\n";
+  out += "    \"topology_builds\": " + fmt_u64(r.topology_builds) +
+         "\n  },\n";
 
   out += "  \"phases\": [";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
@@ -173,6 +176,7 @@ std::string render_markdown(const RunReport& r) {
   out += std::string("- complete: ") + (r.complete ? "yes" : "no") + "\n";
   out += "- wall time: " + fmt_double(r.wall_time_s) + " s\n";
   out += "- flips: " + fmt_u64(r.flips) + "\n";
+  out += "- topology builds: " + fmt_u64(r.topology_builds) + "\n";
   out += "- checkpoints written: " + fmt_u64(r.checkpoints_written) +
          (r.checkpoint_write_failed ? " (a write FAILED)" : "") + "\n";
 

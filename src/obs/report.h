@@ -54,6 +54,9 @@ struct RunReport {
   // Telemetry-derived sections.
   double wall_time_s = 0.0;  // campaign wall time, supplied by the caller
   std::uint64_t flips = 0;
+  // Graph topologies built; replicas of a point in flight together share
+  // one build, so this sits well below replicas_done on graph campaigns.
+  std::uint64_t topology_builds = 0;
   std::uint64_t checkpoints_written = 0;
   std::vector<PhaseLatency> phases;       // SEG_TIMED histograms, sorted
   std::vector<WorkerUtilization> workers; // pool busy counters, sorted

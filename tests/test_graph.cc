@@ -2,7 +2,8 @@
 // satellites that shipped with it:
 //  * builder invariants — torus rows in stencil order, lollipop degree
 //    spectrum, random-regular degree exactness, small-world edge
-//    conservation, edge-list round-trips and malformed-input refusal,
+//    conservation, from_edges rows against a per-node reference build,
+//    edge-list round-trips and malformed-input refusal,
 //    and refusal of hubs beyond the engine's int16 count limit (at
 //    import and at engine construction);
 //  * greedy-BFS partition coverage/balance and the boundary definition;
@@ -17,6 +18,7 @@
 //    included).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -129,6 +131,41 @@ TEST(GraphTopologyTest, SmallWorldConservesEdgeCount) {
       ASSERT_EQ(frozen.adjacent(v, u), torus.adjacent(v, u))
           << "pair " << v << "," << u;
     }
+  }
+}
+
+// from_edges against the obvious per-node construction (push both
+// endpoints, then sort and deduplicate each row) on an edge list with
+// duplicates, reversed pairs, self loops and isolated nodes.
+TEST(GraphTopologyTest, FromEdgesMatchesPerNodeReference) {
+  constexpr std::uint32_t kNodes = 300;
+  Rng rng = Rng::stream(77, 0);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (int i = 0; i < 1500; ++i) {
+    // Ids below 250 only: nodes 250..299 stay isolated.
+    const auto a = static_cast<std::uint32_t>(rng.uniform_below(250));
+    const auto b = static_cast<std::uint32_t>(rng.uniform_below(250));
+    edges.emplace_back(a, b);
+    if (i % 7 == 0) edges.emplace_back(b, a);
+  }
+  std::vector<std::vector<std::uint32_t>> reference(kNodes);
+  for (std::uint32_t v = 0; v < kNodes; ++v) reference[v].push_back(v);
+  for (const auto& [a, b] : edges) {
+    if (a == b) continue;
+    reference[a].push_back(b);
+    reference[b].push_back(a);
+  }
+  const GraphTopology g = GraphTopology::from_edges(kNodes, edges);
+  std::string error;
+  ASSERT_TRUE(g.validate(&error)) << error;
+  ASSERT_EQ(g.node_count(), kNodes);
+  for (std::uint32_t v = 0; v < kNodes; ++v) {
+    std::vector<std::uint32_t>& want = reference[v];
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    const auto [row, len] = g.row(v);
+    EXPECT_EQ(std::vector<std::uint32_t>(row, row + len), want)
+        << "node " << v;
   }
 }
 

@@ -12,10 +12,19 @@
 //     greedy-BFS partition is thread-count invariant with exact
 //     invariants at absorption — on non-torus topologies (lollipop,
 //     random regular, small world) whose cuts are irregular.
+//  3. Graph campaigns aggregate bitwise identically at any worker count,
+//     serial and sharded, although replicas of a point in flight together
+//     share one topology build.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 
+#include "campaign/campaign.h"
+#include "campaign/sinks.h"
 #include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
@@ -276,6 +285,78 @@ TEST(GraphDifferential, PartitionIsolationInvariant) {
           << row[i];
     }
   }
+}
+
+// ---- campaign level ---------------------------------------------------------
+
+// Every graph family, edge_list included, through run_campaign: the
+// aggregates must not depend on the worker count, whether or not the
+// replicas run sharded.
+TEST(GraphDifferential, GraphCampaignInvariantAcrossWorkerCounts) {
+  const std::string path =
+      ::testing::TempDir() + "seg_graph_campaign.edges";
+  {
+    // A 48-node ring with chords: degree 4 everywhere.
+    std::ofstream edges(path);
+    for (int v = 0; v < 48; ++v) {
+      edges << v << ' ' << (v + 1) % 48 << '\n';
+      edges << v << ' ' << (v + 5) % 48 << '\n';
+    }
+  }
+  ScenarioSpec spec;
+  spec.name = "graph_campaign";
+  spec.n = {12};
+  spec.w = {1};
+  spec.tau = {0.35, 0.45};
+  spec.topology = {TopologyFamily::kLollipop, TopologyFamily::kRandomRegular,
+                   TopologyFamily::kSmallWorld, TopologyFamily::kEdgeList};
+  spec.graph_clique = 8;
+  spec.graph_path = 10;
+  spec.graph_degree = 6;
+  spec.graph_file = path;
+  spec.replicas = 6;
+  spec.max_flips = 20000;
+  spec.metrics = {"flips", "terminated", "majority", "happy_fraction",
+                  "plus_fraction"};
+  for (const std::size_t shards : {1u, 2u}) {
+    spec.shards = shards;
+    std::string why;
+    ASSERT_TRUE(spec.valid(&why)) << why;
+    CampaignOptions options;
+    options.threads = 1;
+    const CampaignResult reference = run_campaign(spec, 91, options);
+    ASSERT_TRUE(reference.complete);
+    ASSERT_EQ(reference.points.size(), 8u);
+    for (const PointResult& pr : reference.points) {
+      for (const RunningStats& st : pr.stats) {
+        ASSERT_TRUE(std::isfinite(st.mean()))
+            << topology_name(pr.point.topology) << " point " << pr.point.index
+            << " has a non-finite aggregate";
+      }
+    }
+    const std::string csv = CsvSink::render(spec, reference);
+    for (const std::size_t threads : {2u, 4u}) {
+      options.threads = threads;
+      const CampaignResult result = run_campaign(spec, 91, options);
+      ASSERT_EQ(result.points.size(), reference.points.size());
+      for (std::size_t i = 0; i < result.points.size(); ++i) {
+        for (std::size_t m = 0; m < result.metric_names.size(); ++m) {
+          const RunningStats& a = reference.points[i].stats[m];
+          const RunningStats& b = result.points[i].stats[m];
+          EXPECT_EQ(a.count(), b.count());
+          EXPECT_EQ(a.mean(), b.mean())
+              << shards << " shards, " << threads << " workers, point " << i
+              << " metric " << result.metric_names[m];
+          EXPECT_EQ(a.variance(), b.variance());
+          EXPECT_EQ(a.min(), b.min());
+          EXPECT_EQ(a.max(), b.max());
+        }
+      }
+      EXPECT_EQ(CsvSink::render(spec, result), csv)
+          << shards << " shards, " << threads << " workers";
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -91,6 +91,7 @@ CampaignResult fake_result() {
 TEST(RunReport, FoldsResultAndRegistry) {
   ScopedTelemetry telemetry;
   SEG_COUNT("campaign.checkpoints", 3);
+  SEG_COUNT("graph.topology_builds", 6);
   SEG_COUNT("pool.campaign.worker.0.busy_us", 500000);
   for (int i = 0; i < 32; ++i) SEG_HISTOGRAM("phase.sweep_us", 100 + i);
   SEG_HISTOGRAM("streaming.split_piece_sites", 64);  // not a phase
@@ -103,6 +104,7 @@ TEST(RunReport, FoldsResultAndRegistry) {
   EXPECT_EQ(rep.replicas_done, 12u);
   EXPECT_EQ(rep.replicas_resumed, 4u);
   EXPECT_EQ(rep.checkpoints_written, 3u);
+  EXPECT_EQ(rep.topology_builds, 6u);
   EXPECT_EQ(rep.decisions, 1u);
   EXPECT_EQ(rep.min_stop_replicas, 5u);
   EXPECT_EQ(rep.max_stop_replicas, 5u);
@@ -126,6 +128,7 @@ TEST(RunReport, JsonRenderIsWellFormed) {
   EXPECT_NE(doc.find("\"decision_trace_hash\""), std::string::npos);
   EXPECT_NE(doc.find("\"phase.reconcile_us\""), std::string::npos);
   EXPECT_NE(doc.find("\"wall_time_s\": 2.5"), std::string::npos);
+  EXPECT_NE(doc.find("\"topology_builds\""), std::string::npos);
 }
 
 TEST(RunReport, MarkdownRenderHasSections) {
