@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "campaign/metrics.h"
 #include "util/parse.h"
@@ -9,35 +10,24 @@
 namespace seg {
 namespace {
 
-std::string format_double(double v) {
+// One list item as the canonical text writes it.
+std::string format(int v) { return std::to_string(v); }
+std::string format(const std::string& s) { return s; }
+std::string format(NeighborhoodShape s) { return shape_name(s); }
+std::string format(DynamicsKind d) { return dynamics_name(d); }
+std::string format(TopologyFamily f) { return topology_name(f); }
+std::string format(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
-std::string join_ints(const std::vector<int>& xs) {
+template <typename T>
+std::string join(const std::vector<T>& xs) {
   std::string out;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i) out += ',';
-    out += std::to_string(xs[i]);
-  }
-  return out;
-}
-
-std::string join_doubles(const std::vector<double>& xs) {
-  std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ',';
-    out += format_double(xs[i]);
-  }
-  return out;
-}
-
-std::string join_strings(const std::vector<std::string>& xs) {
-  std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ',';
-    out += xs[i];
+    out += format(xs[i]);
   }
   return out;
 }
@@ -60,30 +50,170 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-// List parsers over the checked scalar helpers (util/parse.h): trailing
+// Value parsers for the key table, all of the shape
+// bool(const std::string&, T*, std::string* why). They consume the whole
+// value: over the checked scalar helpers (util/parse.h), trailing
 // garbage ("10x") and out-of-range values are hard errors naming the
 // offending token, not silent truncations.
-bool parse_int_list(const std::string& s, std::vector<int>* out,
-                    std::string* why) {
+template <typename T, bool (*Parse)(const std::string&, T*)>
+bool parse_name(const std::string& s, T* out, std::string* why) {
+  if (Parse(s, out)) return true;
+  if (why) *why = "unknown name: '" + s + "'";
+  return false;
+}
+
+template <typename T, auto ParseItem>
+bool parse_list(const std::string& s, std::vector<T>* out,
+                std::string* why) {
   out->clear();
   for (const std::string& item : split_list(s)) {
-    int v = 0;
-    if (!parse_int_checked(item, &v, why)) return false;
+    T v{};
+    if (!ParseItem(item, &v, why)) return false;
     out->push_back(v);
   }
   return !out->empty();
 }
 
-bool parse_double_list(const std::string& s, std::vector<double>* out,
-                       std::string* why) {
-  out->clear();
-  for (const std::string& item : split_list(s)) {
-    double v = 0.0;
-    if (!parse_double_checked(item, &v, why)) return false;
-    out->push_back(v);
-  }
+constexpr auto kInts = parse_list<int, parse_int_checked>;
+constexpr auto kDoubles = parse_list<double, parse_double_checked>;
+template <typename T, bool (*Parse)(const std::string&, T*)>
+constexpr auto kNames = parse_list<T, parse_name<T, Parse>>;
+
+bool parse_strings(const std::string& s, std::vector<std::string>* out,
+                   std::string*) {
+  *out = split_list(s);
   return !out->empty();
 }
+
+// A line break could not be written back as one `key = value` line.
+bool parse_text(const std::string& s, std::string* out, std::string* why) {
+  if (s.find('\n') != std::string::npos) {
+    if (why) *why = "value spans lines";
+    return false;
+  }
+  *out = s;
+  return !s.empty();
+}
+
+bool parse_size(const std::string& s, std::size_t* out, std::string* why) {
+  std::uint64_t v = 0;
+  if (!parse_u64_checked(s, &v, why)) return false;
+  *out = static_cast<std::size_t>(v);
+  return true;
+}
+
+bool parse_count(const std::string& s, std::size_t* out, std::string* why) {
+  if (!parse_size(s, out, why)) return false;
+  if (*out > 0) return true;
+  if (why) *why = "must be >= 1";
+  return false;
+}
+
+// Setters parse into a temporary, so a bad value leaves the spec as it
+// was.
+using Setter = bool (*)(ScenarioSpec&, const std::string&, std::string*);
+
+template <auto Field, auto Parse>
+bool field(ScenarioSpec& spec, const std::string& value, std::string* why) {
+  std::remove_reference_t<decltype(spec.*Field)> v{};
+  if (!Parse(value, &v, why)) return false;
+  spec.*Field = std::move(v);
+  return true;
+}
+
+template <auto Field, auto Parse>
+bool stop(ScenarioSpec& spec, const std::string& value, std::string* why) {
+  std::remove_reference_t<decltype(spec.stop.*Field)> v{};
+  if (!Parse(value, &v, why)) return false;
+  spec.stop.*Field = std::move(v);
+  return true;
+}
+
+bool stop_range(ScenarioSpec& spec, const std::string& value,
+                std::string* why) {
+  std::vector<double> v;
+  if (!kDoubles(value, &v, why)) return false;
+  if (v.size() != 2) {
+    if (why) *why = "expected lo,hi";
+    return false;
+  }
+  spec.stop.range_lo = v[0];
+  spec.stop.range_hi = v[1];
+  return true;
+}
+
+struct KeyEntry {
+  const char* key;
+  const char* help;
+  Setter set;
+};
+
+using S = ScenarioSpec;
+using Stop = StopConfig;
+
+// Every spec key, in canonical-text order. Lists are comma-separated.
+const KeyEntry kKeys[] = {
+    {"name", "campaign name, stem of the output files",
+     field<&S::name, parse_text>},
+    {"n", "torus side(s); box side L for percolation", field<&S::n, kInts>},
+    {"w", "horizon(s): neighborhood radius", field<&S::w, kInts>},
+    {"tau", "intolerance(s) in [0, 1]", field<&S::tau, kDoubles>},
+    {"tau_minus", "-1 type intolerance(s); < 0 = tau",
+     field<&S::tau_minus, kDoubles>},
+    {"p", "initial +1 density(ies); open-site probability",
+     field<&S::p, kDoubles>},
+    {"shape", "moore | von_neumann",
+     field<&S::shape, kNames<NeighborhoodShape, parse_shape>>},
+    {"dynamics", "glauber | discrete | synchronous",
+     field<&S::dynamics, kNames<DynamicsKind, parse_dynamics>>},
+    {"topology", "torus | lollipop | random_regular | small_world | edge_list",
+     field<&S::topology, kNames<TopologyFamily, parse_topology>>},
+    {"graph_clique", "lollipop clique size (>= 2)",
+     field<&S::graph_clique, parse_int_checked>},
+    {"graph_path", "lollipop path length (>= 1)",
+     field<&S::graph_path, parse_int_checked>},
+    {"graph_degree", "random_regular node degree",
+     field<&S::graph_degree, parse_int_checked>},
+    {"graph_beta", "small_world rewiring probability in [0, 1]",
+     field<&S::graph_beta, parse_double_checked>},
+    {"graph_seed", "graph builder seed",
+     field<&S::graph_seed, parse_u64_checked>},
+    {"graph_nodes", "random_regular node count; 0 = n*n",
+     field<&S::graph_nodes, parse_size>},
+    {"graph_file", "edge_list file, one \"u v\" edge per line",
+     field<&S::graph_file, parse_text>},
+    {"replicas", "replicas per point; the cap under a stop rule",
+     field<&S::replicas, parse_count>},
+    {"shards", "lattice shards per Glauber replica; 1 = serial",
+     field<&S::shards, parse_count>},
+    {"max_flips", "flip cap per replica; 0 = run to absorption",
+     field<&S::max_flips, parse_u64_checked>},
+    {"streaming_sample_every", "flips between streaming samples; 0 = n*n/64",
+     field<&S::streaming_sample_every, parse_u64_checked>},
+    {"sync_max_rounds", "round cap of synchronous dynamics",
+     field<&S::sync_max_rounds, parse_u64_checked>},
+    {"region_samples", "sampled agents per E[M]-style estimate",
+     field<&S::region_samples, parse_size>},
+    {"almost_eps", "epsilon of almost-mono regions",
+     field<&S::almost_eps, parse_double_checked>},
+    {"metrics", "registry metrics to record (see --list)",
+     field<&S::metrics, parse_strings>},
+    {"stop_rule", "none | hoeffding | bernstein | pass_rate",
+     stop<&Stop::rule, parse_name<StopRule, parse_stop_rule>>},
+    {"stop_delta", "target confidence-sequence half-width",
+     stop<&Stop::delta, parse_double_checked>},
+    {"stop_alpha", "anytime miscoverage budget in (0, 1)",
+     stop<&Stop::alpha, parse_double_checked>},
+    {"min_replicas", "replicas before a stop rule may fire",
+     stop<&Stop::min_replicas, parse_count>},
+    {"max_replicas", "per-point replica cap; 0 = replicas",
+     stop<&Stop::max_replicas, parse_size>},
+    {"stop_metric", "watched metric; default the first",
+     stop<&Stop::metric, parse_text>},
+    {"stop_range", "declared bounds lo,hi of the watched metric", stop_range},
+    {"stop_threshold", "pass_rate decision boundary",
+     stop<&Stop::threshold, parse_double_checked>},
+};
 
 }  // namespace
 
@@ -172,50 +302,40 @@ bool ScenarioSpec::valid(std::string* error) const {
   }
   // Builder preconditions are validated here, not in the builders: their
   // SEG_ASSERTs compile out of release builds, so the spec layer is the
-  // real guard for user-supplied parameters.
+  // real guard for user-supplied parameters. A graph parameter out of its
+  // range is refused even when no family in `topology` reads it.
+  if (graph_clique < 2 || graph_path < 1) {
+    return fail("lollipop needs graph_clique >= 2, graph_path >= 1");
+  }
+  // The clique node the path hangs off has the largest neighborhood: the
+  // whole clique plus one path node.
+  if (graph_clique + 1 > kMaxNeighborhoodSize) {
+    return fail_limit("graph_clique must be <= " +
+                      std::to_string(kMaxNeighborhoodSize - 1));
+  }
+  if (graph_degree < 1) return fail("graph_degree must be >= 1");
+  if (graph_degree + 1 > kMaxNeighborhoodSize) {
+    return fail_limit("graph_degree must be <= " +
+                      std::to_string(kMaxNeighborhoodSize - 1));
+  }
+  if (!(graph_beta >= 0.0 && graph_beta <= 1.0)) {
+    return fail("graph_beta must be in [0, 1]");
+  }
   for (const TopologyFamily f : topology) {
-    switch (f) {
-      case TopologyFamily::kTorus:
-        break;
-      case TopologyFamily::kLollipop:
-        if (graph_clique < 2 || graph_path < 1) {
-          return fail("lollipop needs graph_clique >= 2, graph_path >= 1");
-        }
-        // The clique node the path hangs off has the largest
-        // neighborhood: the whole clique plus one path node.
-        if (graph_clique + 1 > kMaxNeighborhoodSize) {
-          return fail_limit("graph_clique must be <= " +
-                            std::to_string(kMaxNeighborhoodSize - 1));
-        }
-        break;
-      case TopologyFamily::kRandomRegular:
-        if (graph_degree < 1) return fail("graph_degree must be >= 1");
-        if (graph_degree + 1 > kMaxNeighborhoodSize) {
-          return fail_limit("graph_degree must be <= " +
-                            std::to_string(kMaxNeighborhoodSize - 1));
-        }
-        for (const int side : n) {
-          const std::size_t nodes =
-              graph_nodes > 0 ? graph_nodes
-                              : static_cast<std::size_t>(side) * side;
-          if (nodes <= static_cast<std::size_t>(graph_degree)) {
-            return fail("random_regular needs node count > graph_degree");
-          }
-          if ((nodes * static_cast<std::size_t>(graph_degree)) % 2 != 0) {
-            return fail("random_regular needs nodes * graph_degree even");
-          }
-        }
-        break;
-      case TopologyFamily::kSmallWorld:
-        if (!(graph_beta >= 0.0 && graph_beta <= 1.0)) {
-          return fail("graph_beta must be in [0, 1]");
-        }
-        break;
-      case TopologyFamily::kEdgeList:
-        if (graph_file.empty()) {
-          return fail("edge_list topology needs graph_file");
-        }
-        break;
+    if (f == TopologyFamily::kEdgeList && graph_file.empty()) {
+      return fail("edge_list topology needs graph_file");
+    }
+    if (f != TopologyFamily::kRandomRegular) continue;
+    for (const int side : n) {
+      const std::size_t nodes =
+          graph_nodes > 0 ? graph_nodes
+                          : static_cast<std::size_t>(side) * side;
+      if (nodes <= static_cast<std::size_t>(graph_degree)) {
+        return fail("random_regular needs node count > graph_degree");
+      }
+      if ((nodes * static_cast<std::size_t>(graph_degree)) % 2 != 0) {
+        return fail("random_regular needs nodes * graph_degree even");
+      }
     }
   }
   if (stop.rule != StopRule::kNone) {
@@ -242,50 +362,76 @@ bool ScenarioSpec::valid(std::string* error) const {
       }
     }
   }
+  // ModelParams::valid's checks, one message per key. w is bounded
+  // before neighborhood_size(), which would overflow int on a huge w.
   for (const ScenarioPoint& pt : expand_grid(*this)) {
-    if (pt.params.neighborhood_size() > kMaxNeighborhoodSize) {
-      return fail_limit("w = " + std::to_string(pt.params.w) + " gives " +
-                        std::to_string(pt.params.neighborhood_size()) +
-                        " sites (w <= 90 on the Moore stencil)");
+    const ModelParams& m = pt.params;
+    if (m.n < 1) return fail("n must be >= 1");
+    if (m.w < 1) return fail("w must be >= 1");
+    if (m.w > kMaxNeighborhoodSize / 2 ||
+        m.neighborhood_size() > kMaxNeighborhoodSize) {
+      return fail_limit("w = " + std::to_string(m.w) +
+                        " is too wide (w <= 90 on the Moore stencil)");
     }
-    if (!pt.params.valid()) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "invalid point (n=%d, w=%d, tau=%g, p=%g)", pt.params.n,
-                    pt.params.w, pt.params.tau, pt.params.p);
-      return fail(buf);
+    if (2 * m.w + 1 > m.n) {
+      return fail("n = " + std::to_string(m.n) + " is narrower than the " +
+                  "window 2w+1 of w = " + std::to_string(m.w));
+    }
+    if (!(m.tau >= 0.0 && m.tau <= 1.0)) return fail("tau must be in [0, 1]");
+    if (!(m.p >= 0.0 && m.p <= 1.0)) return fail("p must be in [0, 1]");
+    if (!(m.tau_minus < 0.0 || m.tau_minus <= 1.0)) {
+      return fail("tau_minus must be <= 1");
     }
   }
   return true;
 }
 
+bool ScenarioSpec::set(const std::string& key, const std::string& value,
+                       std::string* why) {
+  for (const KeyEntry& entry : kKeys) {
+    if (key != entry.key) continue;
+    std::string detail;
+    if (entry.set(*this, trim(value), &detail)) return true;
+    if (why) {
+      *why = "bad value for '" + key + "'";
+      if (!detail.empty()) *why += " (" + detail + ")";
+    }
+    return false;
+  }
+  if (why) *why = "unknown key '" + key + "'";
+  return false;
+}
+
+const std::vector<SpecKey>& spec_keys() {
+  static const std::vector<SpecKey> keys = [] {
+    std::vector<SpecKey> out;
+    for (const KeyEntry& entry : kKeys) out.push_back({entry.key, entry.help});
+    return out;
+  }();
+  return keys;
+}
+
 std::string ScenarioSpec::to_text() const {
   std::ostringstream out;
   out << "name = " << name << '\n';
-  out << "n = " << join_ints(n) << '\n';
-  out << "w = " << join_ints(w) << '\n';
-  out << "tau = " << join_doubles(tau) << '\n';
-  out << "tau_minus = " << join_doubles(tau_minus) << '\n';
-  out << "p = " << join_doubles(p) << '\n';
-  std::vector<std::string> names;
-  for (const NeighborhoodShape s : shape) names.push_back(shape_name(s));
-  out << "shape = " << join_strings(names) << '\n';
-  names.clear();
-  for (const DynamicsKind d : dynamics) names.push_back(dynamics_name(d));
-  out << "dynamics = " << join_strings(names) << '\n';
+  out << "n = " << join(n) << '\n';
+  out << "w = " << join(w) << '\n';
+  out << "tau = " << join(tau) << '\n';
+  out << "tau_minus = " << join(tau_minus) << '\n';
+  out << "p = " << join(p) << '\n';
+  out << "shape = " << join(shape) << '\n';
+  out << "dynamics = " << join(dynamics) << '\n';
   // The topology axis and the graph_* parameters follow the shards
   // pattern below: only non-default values enter the canonical text, so
   // every pre-graph spec keeps its hash and its checkpoints.
   if (!(topology.size() == 1 && topology[0] == TopologyFamily::kTorus)) {
-    names.clear();
-    for (const TopologyFamily f : topology) names.push_back(topology_name(f));
-    out << "topology = " << join_strings(names) << '\n';
+    out << "topology = " << join(topology) << '\n';
   }
   if (graph_clique != 24) out << "graph_clique = " << graph_clique << '\n';
   if (graph_path != 40) out << "graph_path = " << graph_path << '\n';
   if (graph_degree != 8) out << "graph_degree = " << graph_degree << '\n';
   if (graph_beta != 0.1) {
-    out << "graph_beta = " << format_double(graph_beta) << '\n';
+    out << "graph_beta = " << format(graph_beta) << '\n';
   }
   if (graph_seed != 1) out << "graph_seed = " << graph_seed << '\n';
   if (graph_nodes != 0) out << "graph_nodes = " << graph_nodes << '\n';
@@ -303,24 +449,24 @@ std::string ScenarioSpec::to_text() const {
   }
   out << "sync_max_rounds = " << sync_max_rounds << '\n';
   out << "region_samples = " << region_samples << '\n';
-  out << "almost_eps = " << format_double(almost_eps) << '\n';
-  out << "metrics = " << join_strings(metrics) << '\n';
+  out << "almost_eps = " << format(almost_eps) << '\n';
+  out << "metrics = " << join(metrics) << '\n';
   // The stop_* keys follow the shards pattern: they enter the canonical
   // text — and so the checkpoint identity — only when a rule is active,
   // keeping every pre-adaptive spec's hash (and checkpoints) intact.
   if (stop.rule != StopRule::kNone) {
     out << "stop_rule = " << stop_rule_name(stop.rule) << '\n';
-    out << "stop_delta = " << format_double(stop.delta) << '\n';
-    out << "stop_alpha = " << format_double(stop.alpha) << '\n';
+    out << "stop_delta = " << format(stop.delta) << '\n';
+    out << "stop_alpha = " << format(stop.alpha) << '\n';
     out << "min_replicas = " << stop.min_replicas << '\n';
     if (stop.max_replicas != 0) {
       out << "max_replicas = " << stop.max_replicas << '\n';
     }
     if (!stop.metric.empty()) out << "stop_metric = " << stop.metric << '\n';
-    out << "stop_range = " << format_double(stop.range_lo) << ','
-        << format_double(stop.range_hi) << '\n';
+    out << "stop_range = " << format(stop.range_lo) << ','
+        << format(stop.range_hi) << '\n';
     if (stop.rule == StopRule::kPassRate) {
-      out << "stop_threshold = " << format_double(stop.threshold) << '\n';
+      out << "stop_threshold = " << format(stop.threshold) << '\n';
     }
   }
   return out.str();
@@ -344,134 +490,9 @@ bool ScenarioSpec::parse(const std::string& text, ScenarioSpec* out,
     if (eq == std::string::npos) {
       return fail("line " + std::to_string(line_no) + ": expected key = value");
     }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    bool ok = true;
     std::string why;
-    if (key == "name") {
-      spec.name = value;
-      ok = !value.empty();
-    } else if (key == "n") {
-      ok = parse_int_list(value, &spec.n, &why);
-    } else if (key == "w") {
-      ok = parse_int_list(value, &spec.w, &why);
-    } else if (key == "tau") {
-      ok = parse_double_list(value, &spec.tau, &why);
-    } else if (key == "tau_minus") {
-      ok = parse_double_list(value, &spec.tau_minus, &why);
-    } else if (key == "p") {
-      ok = parse_double_list(value, &spec.p, &why);
-    } else if (key == "shape") {
-      spec.shape.clear();
-      for (const std::string& item : split_list(value)) {
-        NeighborhoodShape s;
-        if (!parse_shape(item, &s)) { ok = false; break; }
-        spec.shape.push_back(s);
-      }
-      ok = ok && !spec.shape.empty();
-    } else if (key == "dynamics") {
-      spec.dynamics.clear();
-      for (const std::string& item : split_list(value)) {
-        DynamicsKind d;
-        if (!parse_dynamics(item, &d)) { ok = false; break; }
-        spec.dynamics.push_back(d);
-      }
-      ok = ok && !spec.dynamics.empty();
-    } else if (key == "topology") {
-      spec.topology.clear();
-      for (const std::string& item : split_list(value)) {
-        TopologyFamily f;
-        if (!parse_topology(item, &f)) {
-          why = "unknown topology family: '" + item + "'";
-          ok = false;
-          break;
-        }
-        spec.topology.push_back(f);
-      }
-      ok = ok && !spec.topology.empty();
-    } else if (key == "graph_clique") {
-      ok = parse_int_checked(value, &spec.graph_clique, &why);
-    } else if (key == "graph_path") {
-      ok = parse_int_checked(value, &spec.graph_path, &why);
-    } else if (key == "graph_degree") {
-      ok = parse_int_checked(value, &spec.graph_degree, &why);
-    } else if (key == "graph_beta") {
-      ok = parse_double_checked(value, &spec.graph_beta, &why);
-    } else if (key == "graph_seed") {
-      ok = parse_u64_checked(value, &spec.graph_seed, &why);
-    } else if (key == "graph_nodes") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.graph_nodes = static_cast<std::size_t>(v);
-    } else if (key == "graph_file") {
-      spec.graph_file = value;
-      ok = !value.empty();
-    } else if (key == "replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.replicas = static_cast<std::size_t>(v);
-    } else if (key == "shards") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.shards = static_cast<std::size_t>(v);
-    } else if (key == "max_flips") {
-      ok = parse_u64_checked(value, &spec.max_flips, &why);
-    } else if (key == "streaming_sample_every") {
-      ok = parse_u64_checked(value, &spec.streaming_sample_every, &why);
-    } else if (key == "sync_max_rounds") {
-      ok = parse_u64_checked(value, &spec.sync_max_rounds, &why);
-    } else if (key == "region_samples") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.region_samples = static_cast<std::size_t>(v);
-    } else if (key == "almost_eps") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.almost_eps = v[0];
-    } else if (key == "metrics") {
-      spec.metrics = split_list(value);
-      ok = !spec.metrics.empty();
-    } else if (key == "stop_rule") {
-      ok = parse_stop_rule(value, &spec.stop.rule);
-    } else if (key == "stop_delta") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.delta = v[0];
-    } else if (key == "stop_alpha") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.alpha = v[0];
-    } else if (key == "min_replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.stop.min_replicas = static_cast<std::size_t>(v);
-    } else if (key == "max_replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.stop.max_replicas = static_cast<std::size_t>(v);
-    } else if (key == "stop_metric") {
-      spec.stop.metric = value;
-      ok = !value.empty();
-    } else if (key == "stop_range") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 2;
-      if (ok) {
-        spec.stop.range_lo = v[0];
-        spec.stop.range_hi = v[1];
-      }
-    } else if (key == "stop_threshold") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.threshold = v[0];
-    } else {
-      return fail("line " + std::to_string(line_no) + ": unknown key '" +
-                  key + "'");
-    }
-    if (!ok) {
-      std::string msg = "line " + std::to_string(line_no) +
-                        ": bad value for '" + key + "'";
-      if (!why.empty()) msg += " (" + why + ")";
-      return fail(msg);
+    if (!spec.set(trim(line.substr(0, eq)), line.substr(eq + 1), &why)) {
+      return fail("line " + std::to_string(line_no) + ": " + why);
     }
   }
   std::string why;

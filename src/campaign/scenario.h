@@ -8,9 +8,10 @@
 // independent RNG streams derived from the single campaign seed.
 //
 // Specs have a canonical key=value text form (one key per line, list
-// values comma-separated) used both as an on-disk format for the
-// campaign_runner CLI and as the identity hashed into checkpoints so a
-// resume against a different spec is refused.
+// values comma-separated) used both as an on-disk format and as the
+// identity hashed into checkpoints so a resume against a different spec
+// is refused. Spec files and campaign_runner flags (`--graph-degree 6`
+// for `graph_degree = 6`) both set keys through ScenarioSpec::set.
 #pragma once
 
 #include <cstdint>
@@ -136,14 +137,33 @@ struct ScenarioSpec {
   // known to the registry.
   bool valid(std::string* error = nullptr) const;
 
+  // Sets one key from its spec-file value text (list keys take
+  // comma-separated values; surrounding whitespace is ignored, as on a
+  // spec-file line). The spec is left unchanged on failure, and
+  // *why names the key. Cross-key rules are valid()'s job: call it once
+  // every key is set.
+  bool set(const std::string& key, const std::string& value,
+           std::string* why = nullptr);
+
   // Canonical text form; parse(to_text()) reproduces the spec exactly.
   std::string to_text() const;
+  // One `key = value` line per set() call ('#' comments and blank lines
+  // skipped), then valid().
   static bool parse(const std::string& text, ScenarioSpec* out,
                     std::string* error = nullptr);
 
   // FNV-1a over the canonical text; checkpoint identity.
   std::uint64_t hash() const;
 };
+
+// A key ScenarioSpec::set accepts, with its one-line help.
+struct SpecKey {
+  const char* key;
+  const char* help;
+};
+
+// Every settable key, in canonical-text order.
+const std::vector<SpecKey>& spec_keys();
 
 // One cell of the expanded grid.
 struct ScenarioPoint {

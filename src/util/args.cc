@@ -10,6 +10,18 @@ bool is_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
+bool parse_bool(const std::string& s, bool* out, std::string* why) {
+  if (s == "true" || s == "1" || s == "yes" || s == "on") {
+    *out = true;
+  } else if (s == "false" || s == "0" || s == "no" || s == "off") {
+    *out = false;
+  } else {
+    *why = "not a boolean: '" + s + "'";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
@@ -56,42 +68,38 @@ std::string ArgParser::get_string(const std::string& key,
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t ArgParser::get_int(const std::string& key,
-                                std::int64_t def) const {
+template <typename T>
+T ArgParser::get_checked(const std::string& key, T def,
+                         bool (*parse)(const std::string&, T*,
+                                       std::string*)) const {
   read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  std::int64_t v = 0;
+  T v{};
   std::string why;
-  if (!parse_i64_checked(it->second, &v, &why)) {
+  if (!parse(it->second, &v, &why)) {
     errors_.push_back("--" + key + ": " + why);
     return def;
   }
   return v;
+}
+
+std::int64_t ArgParser::get_int(const std::string& key,
+                                std::int64_t def) const {
+  return get_checked(key, def, parse_i64_checked);
+}
+
+std::uint64_t ArgParser::get_u64(const std::string& key,
+                                 std::uint64_t def) const {
+  return get_checked(key, def, parse_u64_checked);
 }
 
 double ArgParser::get_double(const std::string& key, double def) const {
-  read_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  double v = 0.0;
-  std::string why;
-  if (!parse_double_checked(it->second, &v, &why)) {
-    errors_.push_back("--" + key + ": " + why);
-    return def;
-  }
-  return v;
+  return get_checked(key, def, parse_double_checked);
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {
-  read_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  const std::string& s = it->second;
-  if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
-  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  errors_.push_back("--" + key + ": not a boolean: '" + s + "'");
-  return def;
+  return get_checked(key, def, parse_bool);
 }
 
 }  // namespace seg

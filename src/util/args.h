@@ -24,6 +24,8 @@ class ArgParser {
   // of silently proceeding with a default the user never asked for.
   std::string get_string(const std::string& key, std::string def = "") const;
   std::int64_t get_int(const std::string& key, std::int64_t def = 0) const;
+  // Counts and seeds: a negative value is malformed, never wrapped.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t def = 0) const;
   double get_double(const std::string& key, double def = 0.0) const;
   bool get_bool(const std::string& key, bool def = false) const;
 
@@ -40,6 +42,12 @@ class ArgParser {
   const std::string& program_name() const { return program_; }
 
  private:
+  // The typed getters' shared path: mark `key` read and parse its value,
+  // recording an error and returning `def` if it is malformed.
+  template <typename T>
+  T get_checked(const std::string& key, T def,
+                bool (*parse)(const std::string&, T*, std::string*)) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

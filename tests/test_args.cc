@@ -80,6 +80,16 @@ TEST(ArgParser, NegativeNumbersAsValues) {
   EXPECT_EQ(p.get_int("offset"), -5);
 }
 
+TEST(ArgParser, NegativeUnsignedRecordsErrorInsteadOfWrapping) {
+  const auto p = make({"--seed", "-1", "--threads", "4"});
+  EXPECT_EQ(p.get_u64("seed", 37), 37u);
+  EXPECT_EQ(p.get_u64("threads", 1), 4u);
+  EXPECT_EQ(p.get_u64("absent", 9), 9u);
+  ASSERT_EQ(p.errors().size(), 1u);
+  EXPECT_NE(p.errors()[0].find("--seed"), std::string::npos);
+  EXPECT_NE(p.errors()[0].find("'-1'"), std::string::npos);
+}
+
 TEST(ArgParser, MalformedBoolRecordsError) {
   const auto p = make({"--resume", "maybe", "--quiet"});
   EXPECT_FALSE(p.get_bool("resume", false));

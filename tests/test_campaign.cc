@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -145,6 +147,263 @@ TEST(Scenario, ParseAcceptsCommentsAndSpecFileShape) {
   EXPECT_EQ(spec.n, (std::vector<int>{16, 24}));
   EXPECT_EQ(spec.replicas, 2u);
   EXPECT_EQ(spec.metrics, (std::vector<std::string>{"flips", "majority"}));
+}
+
+// Sets every one of the spec's keys to a non-default value.
+ScenarioSpec every_key_spec() {
+  ScenarioSpec spec;
+  spec.name = "every_key";
+  spec.n = {20, 30};
+  spec.w = {1, 3};
+  spec.tau = {0.35, 0.4};
+  spec.tau_minus = {0.3};
+  spec.p = {0.45, 0.6};
+  spec.shape = {NeighborhoodShape::kVonNeumann, NeighborhoodShape::kMoore};
+  spec.dynamics = {DynamicsKind::kDiscrete, DynamicsKind::kSynchronous};
+  spec.topology = {TopologyFamily::kLollipop, TopologyFamily::kRandomRegular,
+                   TopologyFamily::kSmallWorld, TopologyFamily::kEdgeList};
+  spec.graph_clique = 12;
+  spec.graph_path = 7;
+  spec.graph_degree = 6;
+  spec.graph_beta = 0.25;
+  spec.graph_seed = 99;
+  spec.graph_nodes = 500;
+  spec.graph_file = "city.edges";
+  spec.replicas = 9;
+  spec.shards = 2;
+  spec.max_flips = 5000;
+  spec.streaming_sample_every = 128;
+  spec.sync_max_rounds = 77;
+  spec.region_samples = 5;
+  spec.almost_eps = 0.2;
+  spec.metrics = {"flips", "majority"};
+  spec.stop.rule = StopRule::kPassRate;
+  spec.stop.delta = 0.1;
+  spec.stop.alpha = 0.01;
+  spec.stop.min_replicas = 4;
+  spec.stop.max_replicas = 12;
+  spec.stop.metric = "majority";
+  spec.stop.range_lo = -1.0;
+  spec.stop.range_hi = 2.0;
+  spec.stop.threshold = 0.25;
+  return spec;
+}
+
+// Checkpoints are keyed by hash(), so these bytes are the resume
+// contract: a change here orphans every checkpoint written before it.
+TEST(Scenario, CanonicalTextAndHashArePinned) {
+  struct Pin {
+    const char* name;
+    std::uint64_t hash;
+    const char* text;
+  };
+  const Pin pins[] = {
+    {"phase_diagram", 0x37634e07fa5126ccULL,
+     "name = phase_diagram\n"
+     "n = 64\n"
+     "w = 2\n"
+     "tau = 0.29999999999999999,0.35999999999999999,0.40000000000000002,0.44,"
+     "0.47999999999999998,0.5\n"
+     "tau_minus = -1\n"
+     "p = 0.5,0.55000000000000004,0.59999999999999998,0.69999999999999996,"
+     "0.80000000000000004,0.90000000000000002\n"
+     "shape = moore\n"
+     "dynamics = glauber\n"
+     "replicas = 3\n"
+     "max_flips = 0\n"
+     "sync_max_rounds = 4096\n"
+     "region_samples = 16\n"
+     "almost_eps = 0.10000000000000001\n"
+     "metrics = mean_mono_region,fixation,majority,flips\n"},
+    {"region_size", 0xd5cbf0cb755d2ef1ULL,
+     "name = region_size\n"
+     "n = 64\n"
+     "w = 1,2,3,4,5\n"
+     "tau = 0.45000000000000001,0.40000000000000002,0.55000000000000004\n"
+     "tau_minus = -1\n"
+     "p = 0.5\n"
+     "shape = moore\n"
+     "dynamics = glauber\n"
+     "replicas = 3\n"
+     "max_flips = 0\n"
+     "sync_max_rounds = 4096\n"
+     "region_samples = 24\n"
+     "almost_eps = 0.10000000000000001\n"
+     "metrics = mean_mono_region,mean_almost_region,streaming_largest_cluster,"
+     "streaming_interface_length\n"},
+    {"percolation_stretch", 0xc3197901799e874fULL,
+     "name = percolation_stretch\n"
+     "n = 192\n"
+     "w = 2\n"
+     "tau = 0.45000000000000001\n"
+     "tau_minus = -1\n"
+     "p = 0.65000000000000002,0.69999999999999996,0.75,0.84999999999999998,"
+     "0.94999999999999996\n"
+     "shape = moore\n"
+     "dynamics = glauber\n"
+     "replicas = 24\n"
+     "max_flips = 0\n"
+     "sync_max_rounds = 4096\n"
+     "region_samples = 16\n"
+     "almost_eps = 0.10000000000000001\n"
+     "metrics = connected,stretch,tail_125\n"},
+    {"percolation_radius", 0x89c927d826a1e0edULL,
+     "name = percolation_radius\n"
+     "n = 61\n"
+     "w = 2\n"
+     "tau = 0.45000000000000001\n"
+     "tau_minus = -1\n"
+     "p = 0.29999999999999999,0.40000000000000002,0.5\n"
+     "shape = moore\n"
+     "dynamics = glauber\n"
+     "replicas = 400\n"
+     "max_flips = 0\n"
+     "sync_max_rounds = 4096\n"
+     "region_samples = 16\n"
+     "almost_eps = 0.10000000000000001\n"
+     "metrics = open,r_ge_2,r_ge_4,r_ge_8,r_ge_16\n"},
+    {"graph_topologies", 0x5647fa8241aaebe5ULL,
+     "name = graph_topologies\n"
+     "n = 32\n"
+     "w = 1\n"
+     "tau = 0.34999999999999998,0.45000000000000001\n"
+     "tau_minus = -1\n"
+     "p = 0.5\n"
+     "shape = moore\n"
+     "dynamics = glauber\n"
+     "topology = lollipop,random_regular,small_world\n"
+     "graph_nodes = 1024\n"
+     "replicas = 3\n"
+     "max_flips = 200000\n"
+     "sync_max_rounds = 4096\n"
+     "region_samples = 16\n"
+     "almost_eps = 0.10000000000000001\n"
+     "metrics = flips,terminated,majority,happy_fraction,plus_fraction\n"},
+    {"every_key", 0x8a0d178d26f4dee0ULL,
+     "name = every_key\n"
+     "n = 20,30\n"
+     "w = 1,3\n"
+     "tau = 0.34999999999999998,0.40000000000000002\n"
+     "tau_minus = 0.29999999999999999\n"
+     "p = 0.45000000000000001,0.59999999999999998\n"
+     "shape = von_neumann,moore\n"
+     "dynamics = discrete,synchronous\n"
+     "topology = lollipop,random_regular,small_world,edge_list\n"
+     "graph_clique = 12\n"
+     "graph_path = 7\n"
+     "graph_degree = 6\n"
+     "graph_beta = 0.25\n"
+     "graph_seed = 99\n"
+     "graph_nodes = 500\n"
+     "graph_file = city.edges\n"
+     "replicas = 9\n"
+     "shards = 2\n"
+     "max_flips = 5000\n"
+     "streaming_sample_every = 128\n"
+     "sync_max_rounds = 77\n"
+     "region_samples = 5\n"
+     "almost_eps = 0.20000000000000001\n"
+     "metrics = flips,majority\n"
+     "stop_rule = pass_rate\n"
+     "stop_delta = 0.10000000000000001\n"
+     "stop_alpha = 0.01\n"
+     "min_replicas = 4\n"
+     "max_replicas = 12\n"
+     "stop_metric = majority\n"
+     "stop_range = -1,2\n"
+     "stop_threshold = 0.25\n"},
+  };
+  for (const Pin& pin : pins) {
+    ScenarioSpec spec;
+    if (std::string(pin.name) == "every_key") {
+      spec = every_key_spec();
+    } else {
+      BuiltinCampaign campaign;
+      ASSERT_TRUE(make_builtin_campaign(pin.name, {}, &campaign)) << pin.name;
+      spec = campaign.spec;
+    }
+    EXPECT_EQ(spec.to_text(), pin.text) << pin.name;
+    EXPECT_EQ(spec.hash(), pin.hash) << pin.name;
+  }
+  EXPECT_EQ(std::size(pins), builtin_campaign_names().size() + 1);
+}
+
+TEST(Scenario, EveryKeyRoundTripsThroughSetAndParse) {
+  // One non-default value per key. A key added to the table without a
+  // value here fails the size check.
+  const std::map<std::string, std::string> values = {
+      {"name", "sweep"}, {"n", "20, 24"}, {"w", "1,3"},
+      {"tau", "0.3,0.5"}, {"tau_minus", "0.35"}, {"p", "0.6"},
+      {"shape", "von_neumann"}, {"dynamics", "discrete,synchronous"},
+      {"topology", "lollipop, small_world"}, {"graph_clique", "10"},
+      {"graph_path", "5"}, {"graph_degree", "6"}, {"graph_beta", "0.5"},
+      {"graph_seed", "17"}, {"graph_nodes", "300"},
+      {"graph_file", "city.edges"}, {"replicas", "7"}, {"shards", "2"},
+      {"max_flips", "1000"}, {"streaming_sample_every", "64"},
+      {"sync_max_rounds", "12"}, {"region_samples", "4"},
+      {"almost_eps", "0.2"}, {"metrics", "flips, happy_fraction"},
+      {"stop_rule", "bernstein"}, {"stop_delta", "0.1"},
+      {"stop_alpha", "0.02"}, {"min_replicas", "3"},
+      {"max_replicas", "20"}, {"stop_metric", "flips"},
+      {"stop_range", "-2, 3"}, {"stop_threshold", "0.75"},
+  };
+  ASSERT_EQ(spec_keys().size(), 32u);
+  ASSERT_EQ(values.size(), spec_keys().size());
+  // Every stop_* key enters the canonical text only under a pass_rate
+  // rule, and lollipop/small_world need graph-capable metrics.
+  ScenarioSpec base;
+  base.metrics = {"flips", "majority"};
+  base.stop.rule = StopRule::kPassRate;
+  for (const SpecKey& key : spec_keys()) {
+    ASSERT_EQ(values.count(key.key), 1u) << key.key;
+    EXPECT_GT(std::strlen(key.help), 0u) << key.key;
+    ScenarioSpec spec = base;
+    std::string why;
+    ASSERT_TRUE(spec.set(key.key, values.at(key.key), &why)) << why;
+    EXPECT_NE(spec.to_text(), base.to_text()) << key.key;
+    ScenarioSpec back;
+    ASSERT_TRUE(ScenarioSpec::parse(spec.to_text(), &back, &why))
+        << key.key << ": " << why;
+    EXPECT_EQ(back.to_text(), spec.to_text()) << key.key;
+
+    // A bad value names the key and leaves the spec as it was.
+    const std::string before = spec.to_text();
+    EXPECT_FALSE(spec.set(key.key, "", &why)) << key.key;
+    EXPECT_NE(why.find("'" + std::string(key.key) + "'"), std::string::npos)
+        << why;
+    EXPECT_EQ(spec.to_text(), before) << key.key;
+  }
+  ScenarioSpec spec;
+  std::string why;
+  EXPECT_FALSE(spec.set("frobnicate", "3", &why));
+  EXPECT_NE(why.find("'frobnicate'"), std::string::npos) << why;
+  EXPECT_FALSE(spec.set("replicas", "-1", &why));
+  EXPECT_NE(why.find("'replicas'"), std::string::npos) << why;
+  EXPECT_FALSE(spec.set("stop_range", "0", &why));
+  EXPECT_NE(why.find("'stop_range'"), std::string::npos) << why;
+}
+
+TEST(Scenario, ValidNamesTheOffendingKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"n = 0\n", "n must be >= 1"},
+      {"w = 0\n", "w must be >= 1"},
+      {"n = 4\n", "n = 4"},
+      {"tau = 1.5\n", "tau must be"},
+      {"p = -0.1\n", "p must be"},
+      {"tau_minus = 2\n", "tau_minus"},
+      {"w = 2000000000\nn = 2100000000\n", "w = 2000000000"},
+      {"graph_beta = 1.5\n", "graph_beta"},
+      {"graph_degree = 0\n", "graph_degree"},
+      {"topology = random_regular\ngraph_nodes = 20\ngraph_degree = 40\n"
+       "metrics = flips\n",
+       "graph_degree"},
+  };
+  for (const auto& [text, expected] : cases) {
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(ScenarioSpec::parse(text, &spec, &error)) << text;
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  }
 }
 
 TEST(Metrics, RegistryLookup) {
@@ -386,6 +645,42 @@ TEST(Campaign, BuiltinCampaignsExpand) {
   for (const ScenarioPoint& pt : campaign.points) {
     EXPECT_EQ(pt.params.n, std::max(64, 24 * pt.params.w));
   }
+}
+
+TEST(Campaign, BuiltinsRefuseUnreadKeysAndCheckTheSpecTheyRun) {
+  EXPECT_EQ(find_builtin("nope"), nullptr);
+  std::string why;
+  for (const std::string& name : builtin_campaign_names()) {
+    const Builtin* builtin = find_builtin(name);
+    ASSERT_NE(builtin, nullptr) << name;
+    EXPECT_TRUE(builtin->valid(builtin->base(), &why)) << name << ": " << why;
+  }
+  // region_size derives n from w, so it reads every key but n, and a w
+  // too wide for n = 64 is still valid at its own side n = 24w.
+  const Builtin* region = find_builtin("region_size");
+  EXPECT_FALSE(region->reads("n"));
+  EXPECT_TRUE(region->reads("w"));
+  ScenarioSpec spec = region->base();
+  spec.w = {40};
+  EXPECT_FALSE(spec.valid());
+  EXPECT_TRUE(region->valid(spec, &why)) << why;
+  spec.w = {91};
+  EXPECT_FALSE(region->valid(spec, &why));
+  // The percolation replicas read n (box side L), p and replicas only.
+  const Builtin* radius = find_builtin("percolation_radius");
+  for (const SpecKey& key : spec_keys()) {
+    const std::string k = key.key;
+    EXPECT_EQ(radius->reads(k), k == "n" || k == "p" || k == "replicas")
+        << k;
+  }
+  spec = radius->base();
+  spec.n = {0};
+  EXPECT_FALSE(radius->valid(spec, &why));
+  EXPECT_NE(why.find("n must be >= 1"), std::string::npos) << why;
+  spec = radius->base();
+  spec.p = {1.5};
+  EXPECT_FALSE(radius->valid(spec, &why));
+  EXPECT_NE(why.find("p must be"), std::string::npos) << why;
 }
 
 TEST(Sinks, CsvAndManifestWrite) {
