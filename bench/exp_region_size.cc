@@ -50,9 +50,10 @@ void report_tau(const seg::BuiltinCampaign& campaign,
         result.stats_for(point, "mean_mono_region")->mean();
     const double mean_mp =
         result.stats_for(point, "mean_almost_region")->mean();
-    // Companion observables from the streaming engine: the largest
-    // same-type cluster and the interface (unlike-neighbor bond) energy
-    // density of the absorbing configuration.
+    // Companion end-state observables (streaming_* columns, read off the
+    // final spins): the largest same-type cluster and the interface
+    // (unlike-neighbor bond) energy density of the absorbing
+    // configuration.
     const double mean_c1 =
         result.stats_for(point, "streaming_largest_cluster")->mean();
     const double mean_iface =

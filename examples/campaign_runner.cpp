@@ -189,16 +189,21 @@ int main(int argc, char** argv) {
   const std::string out_flag = args.get_string("out", "");
   const std::string manifest_flag = args.get_string("manifest", "");
   // Every flag is read by now. A malformed value ("--seed 10x", "--seed
-  // -1", "--resume maybe") or a flag this program does not know
-  // ("--stop-rul", "--bogus-flag 7") is a hard usage error, not a silent
-  // fallback to the default.
+  // -1", "--resume maybe"), a flag this program does not know
+  // ("--stop-rul", "--bogus-flag 7") or a stray word ("region_size"
+  // without --scenario) is a hard usage error, not a silent fallback to
+  // the default.
   const std::vector<std::string> unknown = args.unread();
-  if (!args.errors().empty() || !unknown.empty()) {
+  if (!args.errors().empty() || !unknown.empty() ||
+      !args.positional().empty()) {
     for (const std::string& e : args.errors()) {
       std::fprintf(stderr, "%s\n", e.c_str());
     }
     for (const std::string& key : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+    }
+    for (const std::string& word : args.positional()) {
+      std::fprintf(stderr, "unexpected argument '%s'\n", word.c_str());
     }
     return 1;
   }

@@ -33,15 +33,24 @@ AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
   }
   const PrefixSum2D prefix(plus_indicator, n);
 
+  // Growing r never shrinks the minority count (the balls are nested),
+  // and no majority count exceeds ball_size(max_radius). Once the
+  // minority exceeds threshold * ball_size(max_radius), no radius from
+  // here on can pass; IEEE multiplication is monotone, so this cutoff is
+  // exact in double arithmetic too.
+  const double cutoff =
+      ratio_threshold * static_cast<double>(ball_size(max_radius));
   for (int cy = 0; cy < n; ++cy) {
     for (int cx = 0; cx < n; ++cx) {
       // Largest r whose ball satisfies the ratio test. The property is not
-      // monotone in r, so scan all radii and keep the largest passing one.
+      // monotone in r, so scan the radii up to the cutoff and keep the
+      // largest passing one.
       std::int32_t best = 0;  // radius-0 ball always passes (ratio 0)
       for (int r = 1; r <= max_radius; ++r) {
         const std::int64_t size = ball_size(r);
         const std::int64_t plus = prefix.box_sum(cx, cy, r);
         const std::int64_t minority = std::min(plus, size - plus);
+        if (static_cast<double>(minority) > cutoff) break;
         const std::int64_t majority = size - minority;
         if (static_cast<double>(minority) <=
             ratio_threshold * static_cast<double>(majority)) {
@@ -62,40 +71,17 @@ AlmostMonoField almost_mono_field(const SchellingModel& model, double eps,
 }
 
 std::int64_t almost_region_size_of(const AlmostMonoField& field, Point u) {
-  const int n = field.n;
-  std::int64_t best = 1;
-  for (int cy = 0; cy < n; ++cy) {
-    for (int cx = 0; cx < n; ++cx) {
-      const std::int32_t r =
-          field.radius[static_cast<std::size_t>(cy) * n + cx];
-      if (r <= 0) continue;
-      if (torus_linf(Point{cx, cy}, u, n) <= r) {
-        best = std::max(best, ball_size(r));
-      }
-    }
-  }
-  return best;
+  return covering_ball_size(field.radius, field.n, u,
+                            largest_radius(field.radius));
 }
 
 double mean_almost_region_size(const AlmostMonoField& field,
                                std::size_t samples, Rng& rng) {
-  assert(samples > 0);
-  const auto total =
-      static_cast<std::uint64_t>(field.n) * static_cast<std::uint64_t>(field.n);
-  double sum = 0.0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto id = rng.uniform_below(total);
-    const Point u{static_cast<int>(id % field.n),
-                  static_cast<int>(id / field.n)};
-    sum += static_cast<double>(almost_region_size_of(field, u));
-  }
-  return sum / static_cast<double>(samples);
+  return mean_covering_ball_size(field.radius, field.n, samples, rng);
 }
 
 std::int64_t largest_almost_region(const AlmostMonoField& field) {
-  std::int32_t best = 0;
-  for (const std::int32_t r : field.radius) best = std::max(best, r);
-  return ball_size(best);
+  return ball_size(largest_radius(field.radius));
 }
 
 }  // namespace seg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "core/model.h"
 #include "grid/distance_transform.h"
@@ -20,15 +21,33 @@ MonoRegionField mono_region_field(const SchellingModel& model) {
   return mono_region_field(model.spins(), model.side());
 }
 
-std::int64_t mono_region_size_of(const MonoRegionField& field, Point u) {
-  const int n = field.n;
-  std::int64_t best = 1;  // the radius-0 ball {u} is always monochromatic
-  for (int cy = 0; cy < n; ++cy) {
-    for (int cx = 0; cx < n; ++cx) {
-      const std::int32_t r =
-          field.radius[static_cast<std::size_t>(cy) * n + cx];
-      if (r <= 0) continue;
-      if (torus_linf(Point{cx, cy}, u, n) <= r) {
+std::int32_t largest_radius(const std::vector<std::int32_t>& radius) {
+  std::int32_t best = 0;
+  for (const std::int32_t r : radius) best = std::max(best, r);
+  return best;
+}
+
+std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
+                                int n, Point u, std::int32_t rmax) {
+  // Offsets -lo..hi from u visit each candidate center once, at an offset
+  // whose magnitude is its torus distance: the (2 rmax + 1)^2 window, or
+  // the whole torus once that window would wrap onto itself.
+  const int lo = std::min(rmax, n / 2);
+  const int hi = std::min(rmax, (n - 1) / 2);
+  std::int64_t best = 1;  // the radius-0 ball {u} always qualifies
+  for (int dy = -lo; dy <= hi; ++dy) {
+    const std::int32_t* row =
+        radius.data() + static_cast<std::size_t>(torus_wrap(u.y + dy, n)) * n;
+    const int ady = std::abs(dy);
+    for (int dx = -lo; dx <= hi; ++dx) {
+      int cx = u.x + dx;
+      if (cx < 0) {
+        cx += n;
+      } else if (cx >= n) {
+        cx -= n;
+      }
+      const std::int32_t r = row[cx];
+      if (r > 0 && r >= std::max(ady, std::abs(dx))) {
         best = std::max(best, ball_size(r));
       }
     }
@@ -36,25 +55,33 @@ std::int64_t mono_region_size_of(const MonoRegionField& field, Point u) {
   return best;
 }
 
-double mean_mono_region_size(const MonoRegionField& field,
-                             std::size_t samples, Rng& rng) {
+double mean_covering_ball_size(const std::vector<std::int32_t>& radius,
+                               int n, std::size_t samples, Rng& rng) {
   assert(samples > 0);
+  const std::int32_t rmax = largest_radius(radius);
   const auto total =
-      static_cast<std::uint64_t>(field.n) * static_cast<std::uint64_t>(field.n);
+      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
   double sum = 0.0;
   for (std::size_t s = 0; s < samples; ++s) {
     const auto id = rng.uniform_below(total);
-    const Point u{static_cast<int>(id % field.n),
-                  static_cast<int>(id / field.n)};
-    sum += static_cast<double>(mono_region_size_of(field, u));
+    const Point u{static_cast<int>(id % n), static_cast<int>(id / n)};
+    sum += static_cast<double>(covering_ball_size(radius, n, u, rmax));
   }
   return sum / static_cast<double>(samples);
 }
 
+std::int64_t mono_region_size_of(const MonoRegionField& field, Point u) {
+  return covering_ball_size(field.radius, field.n, u,
+                            largest_radius(field.radius));
+}
+
+double mean_mono_region_size(const MonoRegionField& field,
+                             std::size_t samples, Rng& rng) {
+  return mean_covering_ball_size(field.radius, field.n, samples, rng);
+}
+
 std::int64_t largest_mono_region(const MonoRegionField& field) {
-  std::int32_t best = 0;
-  for (const std::int32_t r : field.radius) best = std::max(best, r);
-  return ball_size(best);
+  return ball_size(largest_radius(field.radius));
 }
 
 }  // namespace seg

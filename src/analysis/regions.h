@@ -5,7 +5,8 @@
 // l-infinity ball (neighborhood) of single-type agents that contains u;
 // M is its size (agent count). We compute, per final configuration:
 //   * radius(c) for every center c (one distance transform, O(n^2));
-//   * M(u) for sampled agents u: max over centers c covering u;
+//   * M(u) for sampled agents u: max over centers c covering u, scanned
+//     over the (2 rmax + 1)^2 window around u, rmax the largest radius;
 //   * the grid-wide largest monochromatic ball.
 #pragma once
 
@@ -35,8 +36,24 @@ inline std::int64_t ball_size(std::int32_t r) {
   return side * side;
 }
 
+// Largest entry of a per-center radius field (0 when empty).
+std::int32_t largest_radius(const std::vector<std::int32_t>& radius);
+
+// The covering-ball size shared by M(u) and M'(u): the largest
+// ball_size(radius[c]) over centers c with radius[c] >= 1 and
+// torus_linf(c, u) <= radius[c]; 1 when no such ball covers u. `rmax`
+// must be largest_radius(radius): only centers within rmax of u can cover
+// it, so the scan is the (2 rmax + 1)^2 window around u, or every
+// center once 2 rmax + 1 >= n.
+std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
+                                int n, Point u, std::int32_t rmax);
+
+// Mean covering-ball size over `samples` agents drawn uniformly from rng,
+// in draw order (samples >= 1).
+double mean_covering_ball_size(const std::vector<std::int32_t>& radius,
+                               int n, std::size_t samples, Rng& rng);
+
 // M(u): size of the largest monochromatic ball containing the agent at u.
-// O(n^2) scan over candidate centers.
 std::int64_t mono_region_size_of(const MonoRegionField& field, Point u);
 
 // Mean of M(u) over `samples` agents drawn uniformly (the estimator for

@@ -103,8 +103,7 @@ void StreamingObservables::hist_remove(std::int64_t size) {
 void StreamingObservables::full_rebuild() {
   // Compaction storms show up on the trace timeline and in the
   // "streaming.compactions" counter; each rebuild is O(sites).
-  SEG_TRACE_SPAN("dsu_compaction");
-  SEG_TIMED("phase.dsu_compaction_us");
+  SEG_PHASE("dsu_compaction");
   SEG_COUNT("streaming.compactions", 1);
   ++rebuilds_;
   const std::size_t sites = field_.size();

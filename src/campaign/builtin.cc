@@ -41,9 +41,10 @@ ScenarioSpec region_size_spec() {
   spec.w = {1, 2, 3, 4, 5};
   spec.region_samples = 24;
   spec.almost_eps = 0.1;
-  // The cluster/interface companions to the region metrics come from the
-  // streaming engine — tracked over the whole trajectory in O(1) per
-  // flip, never by an end-state rescan.
+  // The cluster/interface companions to the region metrics are
+  // end-state columns: one cluster rescan of the final spins. No
+  // streaming engine is attached, since none of them reads the
+  // trajectory (only streaming_autocorr_lag1 would).
   spec.metrics = {"mean_mono_region", "mean_almost_region",
                   "streaming_largest_cluster", "streaming_interface_length"};
   return spec;

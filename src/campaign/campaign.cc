@@ -146,8 +146,7 @@ struct EngineState {
 // triggered them, so the (done, trace) snapshot is always coherent: the
 // trace is exactly what a replay of the done rows produces.
 void write_checkpoint(const std::string& path, EngineState& state) {
-  SEG_TRACE_SPAN("checkpoint_write");
-  SEG_TIMED("phase.checkpoint_write_us");
+  SEG_PHASE("checkpoint_write");
   SEG_COUNT("campaign.checkpoints", 1);
   SEG_FLIGHT("checkpoint_write", 0, 0);
   std::lock_guard<std::mutex> io_lock(state.checkpoint_mutex);

@@ -67,8 +67,7 @@ std::size_t CheckpointData::done_count() const {
 }
 
 bool save_checkpoint(const std::string& path, const CheckpointData& data) {
-  SEG_TRACE_SPAN("checkpoint_io");
-  SEG_TIMED("phase.checkpoint_io_us");
+  SEG_PHASE("checkpoint_io");
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (!f) return false;

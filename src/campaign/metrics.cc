@@ -85,34 +85,22 @@ double metric_interface_length(MetricContext& ctx) {
   return static_cast<double>(ctx.clusters().interface_length);
 }
 
-// ---- streaming observables (O(1) reads off the attached engine) ----
+// ---- streaming observables ----
+//
+// The end-state columns equal the streaming engine's values on the final
+// spins (its exactness contract: integers bitwise, mean_cluster_size by
+// the same formula), so they read the final configuration unless an
+// engine is attached: the cluster columns share the classic metrics'
+// functions, served by clusters(). Only the autocorrelation needs the
+// trajectory, and with it the engine.
 
 double metric_streaming_magnetization(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->magnetization())
-             : nan_metric();
-}
-
-double metric_streaming_interface(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->interface_length())
-             : nan_metric();
-}
-
-double metric_streaming_cluster_count(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->cluster_count())
-             : nan_metric();
-}
-
-double metric_streaming_largest_cluster(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->largest_cluster())
-             : nan_metric();
-}
-
-double metric_streaming_mean_cluster_size(MetricContext& ctx) {
-  return ctx.streaming ? ctx.streaming->mean_cluster_size() : nan_metric();
+  if (ctx.streaming) {
+    return static_cast<double>(ctx.streaming->magnetization());
+  }
+  const std::int64_t plus = ctx.model.packed_spins().count_all();
+  return static_cast<double>(
+      2 * plus - static_cast<std::int64_t>(ctx.model.agent_count()));
 }
 
 double metric_streaming_autocorr_lag1(MetricContext& ctx) {
@@ -155,11 +143,10 @@ constexpr MetricEntry kRegistry[] = {
     {"mean_cluster_size", metric_mean_cluster_size, false},
     {"interface_length", metric_interface_length, false},
     {"streaming_magnetization", metric_streaming_magnetization, false},
-    {"streaming_interface_length", metric_streaming_interface, false},
-    {"streaming_cluster_count", metric_streaming_cluster_count, false},
-    {"streaming_largest_cluster", metric_streaming_largest_cluster, false},
-    {"streaming_mean_cluster_size", metric_streaming_mean_cluster_size,
-     false},
+    {"streaming_interface_length", metric_interface_length, false},
+    {"streaming_cluster_count", metric_cluster_count, false},
+    {"streaming_largest_cluster", metric_largest_cluster, false},
+    {"streaming_mean_cluster_size", metric_mean_cluster_size, false},
     {"streaming_autocorr_lag1", metric_streaming_autocorr_lag1, false},
 };
 
@@ -172,7 +159,7 @@ constexpr MetricEntry kRegistry[] = {
 std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
                                                     const ScenarioPoint& point,
                                                     std::string* why) {
-  SEG_TRACE_SPAN("topology_build");
+  SEG_PHASE("topology_build");
   SEG_COUNT("graph.topology_builds", 1);
   switch (point.topology) {
     case TopologyFamily::kTorus:
@@ -281,11 +268,13 @@ std::vector<std::string> expand_metric_names(
 ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   const std::vector<std::string> expanded =
       expand_metric_names(spec.metrics);
+  // Only the autocorrelation reads the trajectory; every other column,
+  // streaming_* included, is read off the final configuration.
   bool needs_streaming = false;
   std::vector<MetricFn> fns;
   fns.reserve(expanded.size());
   for (const std::string& name : expanded) {
-    needs_streaming |= name.rfind("streaming_", 0) == 0;
+    needs_streaming |= name == "streaming_autocorr_lag1";
     MetricFn fn = nullptr;
     const bool known = lookup_metric(name, &fn);
     assert(known && "unknown metric; validate the spec before running");
@@ -337,14 +326,14 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
       RunResult run;
       if (sharded) {
-        SEG_TRACE_SPAN("replica_dynamics");
+        SEG_PHASE("replica_dynamics");
         ParallelOptions parallel_options;
         parallel_options.threads = 1;  // replica-level pool saturates cores
         parallel_options.max_flips = run_options.max_flips;
         run = to_run_result(run_parallel_glauber(
             model, mix_seed(replica_seed, 1), parallel_options));
       } else {
-        SEG_TRACE_SPAN("replica_dynamics");
+        SEG_PHASE("replica_dynamics");
         Rng dyn = Rng::stream(replica_seed, 1);
         switch (point.dynamics) {
           case DynamicsKind::kGlauber:
@@ -359,7 +348,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
         }
       }
       SEG_HISTOGRAM("campaign.replica_flips", run.flips);
-      SEG_TRACE_SPAN("replica_measure");
+      SEG_PHASE("replica_measure");
       Rng sample = Rng::stream(replica_seed, 2);
       MetricContext ctx(model, run, spec, sample, nullptr);
       std::vector<double> values;
@@ -381,10 +370,10 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
                       ShardLayout::stripes(point.params.n, point.params.w,
                                            static_cast<int>(spec.shards)))
                 : SchellingModel(point.params, init);
-    // The streaming engine (when any streaming_* metric is requested)
-    // subscribes to the dynamics' flip events and replaces every
-    // measurement rescan; it consumes no RNG, so the trajectory is
-    // bitwise the one an unmeasured run produces.
+    // The streaming engine (when streaming_autocorr_lag1 is requested)
+    // subscribes to the dynamics' flip events and samples the
+    // magnetization along the way; it consumes no RNG, so the trajectory
+    // is bitwise the one an unmeasured run produces.
     std::unique_ptr<StreamingObservables> streaming;
     if (needs_streaming) {
       StreamingConfig streaming_config;
@@ -402,7 +391,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
     RunResult run;
     if (sharded) {
-      SEG_TRACE_SPAN("replica_dynamics");
+      SEG_PHASE("replica_dynamics");
       ParallelOptions parallel_options;
       // Campaigns parallelize at the *replica* level (the campaign pool),
       // so each replica's phase A runs single-threaded: with a replica
@@ -420,7 +409,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       run = to_run_result(run_parallel_glauber(
           model, mix_seed(replica_seed, 1), parallel_options));
     } else {
-      SEG_TRACE_SPAN("replica_dynamics");
+      SEG_PHASE("replica_dynamics");
       if (streaming) {
         model.set_flip_observer(streaming.get());
         run_options.snapshot_every = sample_every;
@@ -445,7 +434,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       model.set_flip_observer(nullptr);
     }
     SEG_HISTOGRAM("campaign.replica_flips", run.flips);
-    SEG_TRACE_SPAN("replica_measure");
+    SEG_PHASE("replica_measure");
     Rng sample = Rng::stream(replica_seed, 2);
     MetricContext ctx(model, run, spec, sample, streaming.get());
     std::vector<double> values;

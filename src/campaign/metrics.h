@@ -42,9 +42,9 @@ class MetricContext {
   const RunResult& run;
   const ScenarioSpec& spec;
   Rng& sample_rng;
-  // Streaming engine that tracked the replica's dynamics; nullptr when no
-  // streaming metric was requested. The streaming_* metrics read it, and
-  // clusters() is served from it in O(1) when present (the differential
+  // Streaming engine that tracked the replica's dynamics; nullptr unless
+  // streaming_autocorr_lag1 was requested. When present, the streaming_*
+  // metrics and clusters() are served from it in O(1) (the differential
   // suite pins streaming == batch, so the values are identical).
   const StreamingObservables* streaming;
 

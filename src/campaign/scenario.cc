@@ -188,7 +188,8 @@ const KeyEntry kKeys[] = {
      field<&S::shards, parse_count>},
     {"max_flips", "flip cap per replica; 0 = run to absorption",
      field<&S::max_flips, parse_u64_checked>},
-    {"streaming_sample_every", "flips between streaming samples; 0 = n*n/64",
+    {"streaming_sample_every",
+     "flips between streaming_autocorr_lag1 samples; 0 = n*n/64",
      field<&S::streaming_sample_every, parse_u64_checked>},
     {"sync_max_rounds", "round cap of synchronous dynamics",
      field<&S::sync_max_rounds, parse_u64_checked>},
@@ -289,6 +290,10 @@ bool ScenarioSpec::valid(std::string* error) const {
   if (replicas == 0) return fail("replicas must be >= 1");
   if (shards == 0) return fail("shards must be >= 1");
   if (metrics.empty()) return fail("at least one metric is required");
+  // An E[M] estimate over no samples is 0/0, and a threshold
+  // e^{-eps N} >= 1 makes every ball almost-monochromatic.
+  if (region_samples == 0) return fail("region_samples must be >= 1");
+  if (!(almost_eps > 0.0)) return fail("almost_eps must be > 0");
   bool any_graph = false;
   for (const TopologyFamily f : topology) {
     any_graph |= f != TopologyFamily::kTorus;

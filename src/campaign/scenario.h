@@ -105,17 +105,17 @@ struct ScenarioSpec {
   double almost_eps = 0.1;             // epsilon for almost-mono regions
 
   // Flip interval between magnetization time-autocorrelation samples
-  // when streaming metrics are active; 0 = auto (n^2 / 64). Only enters
-  // the canonical text (and checkpoint hash) when nonzero.
+  // when streaming_autocorr_lag1 is recorded; 0 = auto (n^2 / 64). Only
+  // enters the canonical text (and checkpoint hash) when nonzero.
   std::uint64_t streaming_sample_every = 0;
 
   // Names resolved against the metric registry (campaign/metrics.h).
   // The pseudo-metric "streaming" expands to the full streaming
-  // observable group (expand_metric_names); any "streaming_*" metric
-  // attaches a StreamingObservables engine to the replica's dynamics, and
-  // the cluster-derived built-ins (largest_cluster, cluster_count,
-  // mean_cluster_size, interface_length) are then served from it in O(1)
-  // instead of by an O(n^2) rescan.
+  // observable group (expand_metric_names). Only
+  // "streaming_autocorr_lag1" attaches a StreamingObservables engine to
+  // the replica's dynamics; the other streaming_* columns are end-state
+  // values, read off the final configuration (or off the engine when it
+  // is attached, with the same bits).
   std::vector<std::string> metrics = {"flips", "fixation", "majority",
                                       "mean_mono_region"};
 

@@ -76,8 +76,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
 
   while (!model.terminated() && result.flips < options.max_flips &&
          result.sweeps < options.max_sweeps) {
-    SEG_TRACE_SPAN("sweep");
-    SEG_TIMED("phase.sweep_us");
+    SEG_PHASE("sweep");
     const std::uint64_t budget =
         std::min(quantum, options.max_flips - result.flips);
 
@@ -86,8 +85,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
     // shared engine is written race-free; the first boundary draw is
     // deferred and blocks the shard until reconciliation.
     parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t s) {
-      SEG_TRACE_SPAN("phase_a_shard");
-      SEG_TIMED("phase.shard_a_us");
+      SEG_PHASE("phase_a_shard");
       ShardState& st = shards[s];
       const AgentSet& flippable =
           model.flippable_set(static_cast<int>(s));
@@ -133,8 +131,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
     // flip is re-validated against the current global state — an earlier
     // reconciled flip may have changed its window.
     {
-      SEG_TRACE_SPAN("reconcile");
-      SEG_TIMED("phase.reconcile_us");
+      SEG_PHASE("reconcile");
       std::uint64_t sweep_reconciled = 0;
       for (ShardState& st : shards) {
         for (const std::uint32_t id : st.queue) {
@@ -161,8 +158,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
       // the reconciled boundary flips in application order. Samples are
       // taken on the replayed stream every `streaming_sample_every`
       // flips (or once per sweep when 0), deterministically.
-      SEG_TRACE_SPAN("streaming_replay");
-      SEG_TIMED("phase.streaming_replay_us");
+      SEG_PHASE("streaming_replay");
       const auto drain = [&](std::uint32_t id) {
         streaming->apply_flip(id);
         if (options.streaming_sample_every > 0 &&
@@ -219,13 +215,11 @@ ParallelKawasakiResult run_parallel_kawasaki(
 
   while (result.swaps < options.max_swaps &&
          result.sweeps < options.max_sweeps) {
-    SEG_TRACE_SPAN("kawasaki_sweep");
-    SEG_TIMED("phase.kawasaki_sweep_us");
+    SEG_PHASE("kawasaki_sweep");
     const std::uint64_t swap_budget = options.max_swaps - result.swaps;
 
     parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t si) {
-      SEG_TRACE_SPAN("phase_a_shard");
-      SEG_TIMED("phase.shard_a_us");
+      SEG_PHASE("phase_a_shard");
       const int s = static_cast<int>(si);
       ShardState& st = shards[si];
       st.absorbed = false;
@@ -306,8 +300,7 @@ ParallelKawasakiResult run_parallel_kawasaki(
     // the stale or give-up exits below.
     const std::uint64_t reconciled_before = result.reconciled;
     {
-      SEG_TRACE_SPAN("reconcile");
-      SEG_TIMED("phase.reconcile_us");
+      SEG_PHASE("reconcile");
       for (ShardState& st : shards) {
         std::unordered_set<std::uint64_t> seen;  // same pair drawn twice
         for (const auto& [a, b] : st.queue) {

@@ -34,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace seg::obs {
 
 // Log2 histogram layout: bucket 0 counts the value 0, bucket b >= 1
@@ -243,9 +245,9 @@ class ScopedTimer {
   } while (0)
 
 // Scoped phase-latency timer: the histogram `name` (microsecond values)
-// receives the duration of the rest of the enclosing block. Place next
-// to SEG_TRACE_SPAN so every traced phase also has a scrapeable latency
-// distribution. Costs one relaxed bool load + branch while disabled.
+// receives the duration of the rest of the enclosing block. A traced
+// phase uses SEG_PHASE (below), which pairs it with its trace span.
+// Costs one relaxed bool load + branch while disabled.
 #define SEG_TIMED(name)                                               \
   ::seg::obs::ScopedTimer SEG_OBS_CONCAT(seg_timed_, __LINE__)(       \
       []() -> ::seg::obs::MetricId {                                  \
@@ -255,3 +257,10 @@ class ScopedTimer {
       })
 
 #endif  // SEG_TELEMETRY_DISABLED
+
+// One instrumentation point per phase: the trace span `name` and the
+// latency histogram "phase.<name>_us", both covering the rest of the
+// enclosing block. `name` must be a string literal.
+#define SEG_PHASE(name)  \
+  SEG_TRACE_SPAN(name); \
+  SEG_TIMED("phase." name "_us")

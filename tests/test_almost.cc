@@ -1,5 +1,6 @@
 #include "analysis/almost.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -77,6 +78,73 @@ TEST(Almost, MatchesBruteForceOnRandomGrid) {
       EXPECT_EQ(field.radius[cy * n + cx], best)
           << "center (" << cx << "," << cy << ")";
     }
+  }
+}
+
+// Reference radius field: every radius up to max_radius, no cutoff.
+std::vector<std::int32_t> full_radius_scan(
+    const std::vector<std::int8_t>& spins, int n, double threshold,
+    int max_radius) {
+  std::vector<std::int32_t> radius(spins.size(), 0);
+  for (int cy = 0; cy < n; ++cy) {
+    for (int cx = 0; cx < n; ++cx) {
+      for (int r = 1; r <= max_radius; ++r) {
+        std::int64_t plus = 0;
+        for (int dy = -r; dy <= r; ++dy) {
+          for (int dx = -r; dx <= r; ++dx) {
+            plus += spins[torus_wrap(cy + dy, n) * n + torus_wrap(cx + dx, n)] > 0;
+          }
+        }
+        const std::int64_t size = ball_size(r);
+        const std::int64_t minority = std::min(plus, size - plus);
+        if (static_cast<double>(minority) <=
+            threshold * static_cast<double>(size - minority)) {
+          radius[static_cast<std::size_t>(cy) * n + cx] = r;
+        }
+      }
+    }
+  }
+  return radius;
+}
+
+TEST(Almost, CutoffMatchesFullRadiusScan) {
+  const int n = 15;
+  const int rmax = (n - 1) / 2;
+  Rng rng(8);
+  std::vector<std::int8_t> mixed(n * n);
+  for (auto& s : mixed) s = rng.bernoulli(0.5) ? 1 : -1;
+  std::vector<std::int8_t> skewed(n * n);
+  for (auto& s : skewed) s = rng.bernoulli(0.93) ? 1 : -1;
+  const std::vector<std::int8_t> uniform(n * n, 1);
+
+  // Tiny threshold on a mixed grid: threshold * ball_size(rmax) < 1, so
+  // the cutoff fires at r = 1 at every center whose radius-1 ball holds
+  // both types, which leaves those centers at radius 0.
+  const double tiny = 1e-4;
+  ASSERT_LT(tiny * static_cast<double>(ball_size(rmax)), 1.0);
+  const auto mixed_ref = full_radius_scan(mixed, n, tiny, rmax);
+  EXPECT_GT(std::count(mixed_ref.begin(), mixed_ref.end(), 0), n * n / 2);
+  EXPECT_EQ(almost_mono_field(mixed, n, tiny).radius, mixed_ref);
+  // Threshold 0 admits monochromatic balls only; the cutoff is 0 too.
+  EXPECT_EQ(almost_mono_field(mixed, n, 0.0).radius,
+            full_radius_scan(mixed, n, 0.0, rmax));
+
+  // Threshold 1: minority <= size / 2 < ball_size(rmax), never cut off.
+  const auto skewed_ref = full_radius_scan(skewed, n, 1.0, rmax);
+  EXPECT_EQ(almost_mono_field(skewed, n, 1.0).radius, skewed_ref);
+
+  // A mid threshold, where the cutoff lands at varying radii, with and
+  // without a max_radius cap.
+  for (const int cap : {rmax, 3}) {
+    const auto ref = full_radius_scan(skewed, n, 0.05, cap);
+    EXPECT_EQ(almost_mono_field(skewed, n, 0.05, cap).radius, ref) << cap;
+  }
+
+  // All one type: minority 0 everywhere, every radius passes.
+  for (const double threshold : {0.0, tiny, 0.05, 1.0}) {
+    const auto ref = full_radius_scan(uniform, n, threshold, rmax);
+    EXPECT_EQ(almost_mono_field(uniform, n, threshold).radius, ref);
+    for (const auto r : ref) EXPECT_EQ(r, rmax);
   }
 }
 

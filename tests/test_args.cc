@@ -112,6 +112,18 @@ TEST(ArgParser, UnreadFlagsAreReported) {
   EXPECT_TRUE(p.unread().empty());
 }
 
+TEST(ArgParser, StrayWordIsPositionalNotUnread) {
+  // `campaign_runner region_size --seed 3` (no --scenario): the word is
+  // neither a flag nor a flag's value, so unread() cannot report it;
+  // campaign_runner refuses any positional() entry as well.
+  const auto p = make({"region_size", "--seed", "3", "extra", "--quiet"});
+  EXPECT_EQ(p.get_int("seed"), 3);
+  EXPECT_TRUE(p.get_bool("quiet"));
+  EXPECT_TRUE(p.unread().empty());
+  EXPECT_EQ(p.positional(),
+            (std::vector<std::string>{"region_size", "extra"}));
+}
+
 TEST(ArgParser, HasIsFalseForMissing) {
   const auto p = make({"--x=1"});
   EXPECT_TRUE(p.has("x"));

@@ -394,6 +394,9 @@ TEST(Scenario, ValidNamesTheOffendingKey) {
       {"w = 2000000000\nn = 2100000000\n", "w = 2000000000"},
       {"graph_beta = 1.5\n", "graph_beta"},
       {"graph_degree = 0\n", "graph_degree"},
+      {"region_samples = 0\n", "region_samples must be >= 1"},
+      {"almost_eps = 0\n", "almost_eps must be > 0"},
+      {"almost_eps = -1\n", "almost_eps must be > 0"},
       {"topology = random_regular\ngraph_nodes = 20\ngraph_degree = 40\n"
        "metrics = flips\n",
        "graph_degree"},

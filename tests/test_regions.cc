@@ -82,6 +82,92 @@ TEST(Regions, FieldFromModelMatchesFieldFromSpins) {
   EXPECT_EQ(a.radius, b.radius);
 }
 
+// Reference M(u): every center on the torus, no window.
+std::int64_t full_scan_cover(const std::vector<std::int32_t>& radius, int n,
+                             Point u) {
+  std::int64_t best = 1;
+  for (int cy = 0; cy < n; ++cy) {
+    for (int cx = 0; cx < n; ++cx) {
+      const std::int32_t r = radius[static_cast<std::size_t>(cy) * n + cx];
+      if (r > 0 && torus_linf({cx, cy}, u, n) <= r) {
+        best = std::max(best, ball_size(r));
+      }
+    }
+  }
+  return best;
+}
+
+TEST(Regions, WindowedCoverMatchesFullScan) {
+  // Radius fields whose largest radius puts the window well inside the
+  // torus, just inside it (2 rmax + 1 = n - 1), exactly at it, and past
+  // it (the whole torus), for odd and even sides; every agent is
+  // checked, so covers that wrap around the torus edge are included.
+  Rng rng(12);
+  for (const int n : {13, 14}) {
+    // One ball alone, so no other center can mask a missed offset: the
+    // window must reach torus distance n / 2 on both sides.
+    for (std::int32_t r = 1; r <= n; ++r) {
+      std::vector<std::int32_t> radius(static_cast<std::size_t>(n) * n, 0);
+      radius[rng.uniform_below(radius.size())] = r;
+      for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+          ASSERT_EQ(covering_ball_size(radius, n, {x, y}, r),
+                    full_scan_cover(radius, n, {x, y}))
+              << "n=" << n << " lone r=" << r << " u=(" << x << "," << y
+              << ")";
+        }
+      }
+    }
+    for (const std::int32_t cap : {0, 1, 3, (n - 2) / 2, (n - 1) / 2, n / 2,
+                                   n}) {
+      std::vector<std::int32_t> radius(static_cast<std::size_t>(n) * n);
+      for (auto& r : radius) {
+        r = static_cast<std::int32_t>(rng.uniform_below(cap + 1));
+      }
+      radius[rng.uniform_below(radius.size())] = cap;
+      const std::int32_t rmax = largest_radius(radius);
+      ASSERT_EQ(rmax, cap);
+      for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+          ASSERT_EQ(covering_ball_size(radius, n, {x, y}, rmax),
+                    full_scan_cover(radius, n, {x, y}))
+              << "n=" << n << " rmax=" << rmax << " u=(" << x << "," << y
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(Regions, WindowedMeanMatchesFullScanDraws) {
+  // The estimator draws the same agents in the same order and sums the
+  // same values, so it is bitwise the full-scan mean.
+  ModelParams p{.n = 48, .w = 2, .tau = 0.45, .p = 0.5};
+  Rng init(13);
+  SchellingModel m(p, init);
+  Rng dyn(14);
+  run_glauber(m, dyn);
+  const auto field = mono_region_field(m);
+  ASSERT_LT(2 * largest_radius(field.radius) + 1, p.n);
+  Rng a(15);
+  const double windowed = mean_mono_region_size(field, 200, a);
+  Rng b(15);
+  double sum = 0.0;
+  for (int s = 0; s < 200; ++s) {
+    const auto id = b.uniform_below(static_cast<std::uint64_t>(p.n) * p.n);
+    sum += static_cast<double>(full_scan_cover(
+        field.radius, p.n,
+        {static_cast<int>(id % p.n), static_cast<int>(id / p.n)}));
+  }
+  EXPECT_EQ(windowed, sum / 200.0);
+  for (int y = 0; y < p.n; y += 5) {
+    for (int x = 0; x < p.n; x += 3) {
+      EXPECT_EQ(mono_region_size_of(field, {x, y}),
+                full_scan_cover(field.radius, p.n, {x, y}));
+    }
+  }
+}
+
 TEST(Regions, BruteForceAgreementOnSmallRandomGrid) {
   const int n = 9;
   Rng rng(10);
