@@ -71,8 +71,7 @@ AlmostMonoField almost_mono_field(const SchellingModel& model, double eps,
 }
 
 std::int64_t almost_region_size_of(const AlmostMonoField& field, Point u) {
-  return covering_ball_size(field.radius, field.n, u,
-                            largest_radius(field.radius));
+  return covering_ball_size(field.radius, field.n, u);
 }
 
 double mean_almost_region_size(const AlmostMonoField& field,

@@ -27,11 +27,15 @@ std::int32_t largest_radius(const std::vector<std::int32_t>& radius) {
   return best;
 }
 
-std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
-                                int n, Point u, std::int32_t rmax) {
-  // Offsets -lo..hi from u visit each candidate center once, at an offset
-  // whose magnitude is its torus distance: the (2 rmax + 1)^2 window, or
-  // the whole torus once that window would wrap onto itself.
+namespace {
+
+// covering_ball_size with the field's largest radius precomputed: only
+// centers within rmax of u can cover it, so offsets -lo..hi from u visit
+// each candidate center once, at an offset whose magnitude is its torus
+// distance: the (2 rmax + 1)^2 window, or the whole torus once that
+// window would wrap onto itself. A smaller rmax would miss covers.
+std::int64_t covering_ball_size_within(const std::vector<std::int32_t>& radius,
+                                       int n, Point u, std::int32_t rmax) {
   const int lo = std::min(rmax, n / 2);
   const int hi = std::min(rmax, (n - 1) / 2);
   std::int64_t best = 1;  // the radius-0 ball {u} always qualifies
@@ -55,6 +59,13 @@ std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
   return best;
 }
 
+}  // namespace
+
+std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
+                                int n, Point u) {
+  return covering_ball_size_within(radius, n, u, largest_radius(radius));
+}
+
 double mean_covering_ball_size(const std::vector<std::int32_t>& radius,
                                int n, std::size_t samples, Rng& rng) {
   assert(samples > 0);
@@ -65,14 +76,13 @@ double mean_covering_ball_size(const std::vector<std::int32_t>& radius,
   for (std::size_t s = 0; s < samples; ++s) {
     const auto id = rng.uniform_below(total);
     const Point u{static_cast<int>(id % n), static_cast<int>(id / n)};
-    sum += static_cast<double>(covering_ball_size(radius, n, u, rmax));
+    sum += static_cast<double>(covering_ball_size_within(radius, n, u, rmax));
   }
   return sum / static_cast<double>(samples);
 }
 
 std::int64_t mono_region_size_of(const MonoRegionField& field, Point u) {
-  return covering_ball_size(field.radius, field.n, u,
-                            largest_radius(field.radius));
+  return covering_ball_size(field.radius, field.n, u);
 }
 
 double mean_mono_region_size(const MonoRegionField& field,

@@ -41,12 +41,9 @@ std::int32_t largest_radius(const std::vector<std::int32_t>& radius);
 
 // The covering-ball size shared by M(u) and M'(u): the largest
 // ball_size(radius[c]) over centers c with radius[c] >= 1 and
-// torus_linf(c, u) <= radius[c]; 1 when no such ball covers u. `rmax`
-// must be largest_radius(radius): only centers within rmax of u can cover
-// it, so the scan is the (2 rmax + 1)^2 window around u, or every
-// center once 2 rmax + 1 >= n.
+// torus_linf(c, u) <= radius[c]; 1 when no such ball covers u.
 std::int64_t covering_ball_size(const std::vector<std::int32_t>& radius,
-                                int n, Point u, std::int32_t rmax);
+                                int n, Point u);
 
 // Mean covering-ball size over `samples` agents drawn uniformly from rng,
 // in draw order (samples >= 1).

@@ -89,15 +89,12 @@ double metric_interface_length(MetricContext& ctx) {
 //
 // The end-state columns equal the streaming engine's values on the final
 // spins (its exactness contract: integers bitwise, mean_cluster_size by
-// the same formula), so they read the final configuration unless an
-// engine is attached: the cluster columns share the classic metrics'
-// functions, served by clusters(). Only the autocorrelation needs the
+// the same formula), so they read the final configuration: the cluster
+// columns share the classic metrics' functions, served by clusters(), and
+// the magnetization is a popcount. Only the autocorrelation needs the
 // trajectory, and with it the engine.
 
 double metric_streaming_magnetization(MetricContext& ctx) {
-  if (ctx.streaming) {
-    return static_cast<double>(ctx.streaming->magnetization());
-  }
   const std::int64_t plus = ctx.model.packed_spins().count_all();
   return static_cast<double>(
       2 * plus - static_cast<std::int64_t>(ctx.model.agent_count()));

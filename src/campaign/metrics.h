@@ -43,9 +43,9 @@ class MetricContext {
   const ScenarioSpec& spec;
   Rng& sample_rng;
   // Streaming engine that tracked the replica's dynamics; nullptr unless
-  // streaming_autocorr_lag1 was requested. When present, the streaming_*
-  // metrics and clusters() are served from it in O(1) (the differential
-  // suite pins streaming == batch, so the values are identical).
+  // streaming_autocorr_lag1 was requested. When present, that column and
+  // clusters() are served from it in O(1) (the differential suite pins
+  // streaming == batch, so the values are identical).
   const StreamingObservables* streaming;
 
   // Lazily computed, cached for the lifetime of the replica.

@@ -13,6 +13,8 @@
 #include "campaign/builtin.h"
 #include "campaign/metrics.h"
 #include "campaign/sinks.h"
+#include "core/dynamics.h"
+#include "core/model.h"
 #include "golden_fixtures.h"
 
 namespace seg {
@@ -75,9 +77,10 @@ bool bitwise_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-// The end-state streaming_* columns read the final configuration unless
-// streaming_autocorr_lag1 attaches the engine; both must give the same
-// bits, for every dynamics and for the sharded replay path.
+// streaming_autocorr_lag1 attaches the engine, which must leave the
+// trajectory unchanged and serve the cluster columns with the same bits
+// as the final-configuration rescan, for every dynamics and for the
+// sharded replay path.
 TEST(CampaignOutput, StreamingColumnsEqualWithAndWithoutObserver) {
   ScenarioSpec spec;
   spec.n = {24, 40};
@@ -109,6 +112,30 @@ TEST(CampaignOutput, StreamingColumnsEqualWithAndWithoutObserver) {
               << r << " shards " << shards << ": " << a[i] << " vs " << b[i];
         }
       }
+    }
+  }
+}
+
+// streaming_magnetization is a popcount of the final packed spins; it
+// must equal the plain sum of the +-1 spins, on widths that leave a
+// partial last word and on ones that do not.
+TEST(CampaignOutput, StreamingMagnetizationIsSpinSum) {
+  MetricFn fn = nullptr;
+  ASSERT_TRUE(lookup_metric("streaming_magnetization", &fn));
+  const ScenarioSpec spec;
+  for (const int n : {24, 40, 64}) {
+    for (const double p : {0.5, 0.3}) {
+      ModelParams params{.n = n, .w = 1, .tau = 0.45, .p = p};
+      Rng init(static_cast<std::uint64_t>(n));
+      SchellingModel model(params, init);
+      Rng dyn(7);
+      const RunResult run = run_glauber(model, dyn);
+      Rng sample(8);
+      MetricContext ctx(model, run, spec, sample);
+      std::int64_t sum = 0;
+      for (const std::int8_t s : model.spins()) sum += s;
+      EXPECT_EQ(fn(ctx), static_cast<double>(sum)) << "n=" << n
+                                                   << " p=" << p;
     }
   }
 }

@@ -111,7 +111,7 @@ TEST(Regions, WindowedCoverMatchesFullScan) {
       radius[rng.uniform_below(radius.size())] = r;
       for (int y = 0; y < n; ++y) {
         for (int x = 0; x < n; ++x) {
-          ASSERT_EQ(covering_ball_size(radius, n, {x, y}, r),
+          ASSERT_EQ(covering_ball_size(radius, n, {x, y}),
                     full_scan_cover(radius, n, {x, y}))
               << "n=" << n << " lone r=" << r << " u=(" << x << "," << y
               << ")";
@@ -129,7 +129,7 @@ TEST(Regions, WindowedCoverMatchesFullScan) {
       ASSERT_EQ(rmax, cap);
       for (int y = 0; y < n; ++y) {
         for (int x = 0; x < n; ++x) {
-          ASSERT_EQ(covering_ball_size(radius, n, {x, y}, rmax),
+          ASSERT_EQ(covering_ball_size(radius, n, {x, y}),
                     full_scan_cover(radius, n, {x, y}))
               << "n=" << n << " rmax=" << rmax << " u=(" << x << "," << y
               << ")";
