@@ -11,6 +11,7 @@
 // to the asymptotic envelope. Both are printed; EXPERIMENTS.md discusses
 // the reconciliation.
 #include <cstdio>
+#include <string>
 
 #include "analysis/almost.h"
 #include "analysis/regions.h"
@@ -25,8 +26,14 @@ int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
   const int w = static_cast<int>(args.get_int("w", 3));
   const int n = static_cast<int>(args.get_int("n", 96));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const std::size_t trials = args.get_u64("trials", 4);
+  const std::uint64_t seed = args.get_u64("seed", 5);
+  if (!args.errors().empty()) {
+    for (const std::string& e : args.errors()) {
+      std::fprintf(stderr, "%s\n", e.c_str());
+    }
+    return 1;
+  }
   const int N = (2 * w + 1) * (2 * w + 1);
 
   std::printf("== Monotonicity in tau: measured E[M], E[M'] vs the "

@@ -93,10 +93,19 @@ void report_tau(const seg::BuiltinCampaign& campaign,
 
 int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  const std::size_t trials = args.get_u64("trials", 3);
+  const std::uint64_t seed = args.get_u64("seed", 1);
+  seg::CampaignOptions options;
+  options.threads = args.get_u64("threads", 1);
+  options.checkpoint_path = args.get_string("checkpoint", "");
+  options.resume = args.get_bool("resume", false);
   const std::string out = args.get_string("out", "");
+  if (!args.errors().empty()) {
+    for (const std::string& e : args.errors()) {
+      std::fprintf(stderr, "%s\n", e.c_str());
+    }
+    return 1;
+  }
 
   seg::BuiltinCampaign campaign;
   seg::make_builtin_campaign("region_size", {.replicas = trials}, &campaign);
@@ -106,10 +115,6 @@ int main(int argc, char** argv) {
               "%zu sampled agents per trial)\n",
               trials, campaign.spec.region_samples);
 
-  seg::CampaignOptions options;
-  options.threads = threads;
-  options.checkpoint_path = args.get_string("checkpoint", "");
-  options.resume = args.get_bool("resume", false);
   const seg::CampaignResult result = seg::run_campaign(
       campaign.spec, campaign.points, campaign.metric_names,
       campaign.replica, seed, options);

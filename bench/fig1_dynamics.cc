@@ -9,7 +9,8 @@
 // observables engine (analysis/streaming.h), which tracks them from flip
 // events — serially as an engine observer, sharded via the per-shard
 // event logs — so per-panel measurement is O(1) instead of an O(n^2)
-// rescan (only the mono-ball column still runs a distance transform).
+// rescan (only the mono-ball column still rescans the spins, by erosion
+// of the packed bits).
 #include <cstdio>
 #include <string>
 #include <sys/stat.h>
@@ -49,9 +50,15 @@ int main(int argc, char** argv) {
   params.w = static_cast<int>(args.get_int("w", 10));
   params.tau = args.get_double("tau", 0.42);
   params.p = 0.5;
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2017));
+  const std::uint64_t seed = args.get_u64("seed", 2017);
   const int shards = static_cast<int>(args.get_int("shards", 1));
   const std::string out_dir = args.get_string("out", "out_fig1");
+  if (!args.errors().empty()) {
+    for (const std::string& e : args.errors()) {
+      std::fprintf(stderr, "%s\n", e.c_str());
+    }
+    return 1;
+  }
   ::mkdir(out_dir.c_str(), 0755);
 
   std::printf("== Figure 1: segregation dynamics, tau=%.2f, %dx%d, N=%d, "

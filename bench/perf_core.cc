@@ -1,7 +1,7 @@
 // PERF — engineering microbenchmarks for the hot paths: model
 // construction (separable box sums), single flips (O(N) incremental
-// updates), full Glauber runs, the distance transform behind the region
-// metrics, and prefix-sum construction.
+// updates), full Glauber runs, the two per-center radius fields behind
+// the region metrics, and prefix-sum construction.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <thread>
 
+#include "analysis/almost.h"
 #include "analysis/clusters.h"
 #include "analysis/correlation.h"
 #include "analysis/regions.h"
@@ -24,7 +25,6 @@
 #include "core/parallel_dynamics.h"
 #include "graph/topology.h"
 #include "grid/box_sum.h"
-#include "grid/distance_transform.h"
 #include "grid/prefix_sum.h"
 #include "lattice/sharded.h"
 #include "obs/endpoint.h"
@@ -393,17 +393,49 @@ void BM_BoxSum(benchmark::State& state) {
 }
 BENCHMARK(BM_BoxSum)->Args({512, 10})->Args({1024, 10});
 
-void BM_DistanceTransform(benchmark::State& state) {
+// The region fields read a run's final spins, so both benchmarks time
+// them on a configuration the dynamics segregated (tau = 0.42, p = 1/2).
+seg::SchellingModel segregated_model(int n, int w) {
+  seg::ModelParams params{.n = n, .w = w, .tau = 0.42, .p = 0.5};
+  seg::Rng init(6);
+  seg::SchellingModel model(params, init);
+  seg::Rng dyn(7);
+  seg::run_glauber(model, dyn);
+  return model;
+}
+
+// Per-center mono radius by erosion of the packed spins.
+void BM_MonoRadius(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  seg::Rng rng(6);
-  std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n);
-  for (auto& s : spins) s = rng.bernoulli(0.5) ? 1 : -1;
+  const int w = static_cast<int>(state.range(1));
+  const seg::SchellingModel model = segregated_model(n, w);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seg::mono_ball_radius(spins, n));
+    benchmark::DoNotOptimize(seg::mono_region_field(model.packed_spins()));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_DistanceTransform)->Arg(256)->Arg(512);
+BENCHMARK(BM_MonoRadius)
+    ->Args({120, 5})
+    ->Args({1000, 10})
+    ->Unit(benchmark::kMicrosecond);
+
+// Almost-mono field at the region_size threshold e^{-eps N}, eps = 0.1:
+// w = 1 runs the incremental box counts, w = 4 cuts them off early.
+void BM_AlmostField(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int w = static_cast<int>(state.range(1));
+  const seg::SchellingModel model = segregated_model(n, w);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seg::almost_mono_field(model, 0.1));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_AlmostField)
+    ->Args({64, 1})
+    ->Args({64, 4})
+    ->Args({120, 1})
+    ->Args({120, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PrefixSumBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "grid/point.h"
+#include "lattice/bitfield.h"
 #include "rng/rng.h"
 
 namespace seg {
@@ -23,9 +24,17 @@ struct AlmostMonoField {
   std::vector<std::int32_t> radius;
 };
 
-// Computes the per-center almost-monochromatic radii. max_radius bounds
-// the search (and the cost, O(n^2 * max_radius)); it defaults to the
-// largest proper ball, (n-1)/2, when <= 0.
+// Computes the per-center almost-monochromatic radii of an n x n packed
+// spin field (width == height). max_radius bounds the search; it
+// defaults to the largest proper ball, (n-1)/2, when <= 0. Cost: O(n^2)
+// per radius, all centers at once, up to the first radius at which no
+// center's minority is within threshold * ball_size(max_radius); when
+// that product is below 1 only monochromatic balls pass, and the field is
+// the (capped) mono radius of regions.h.
+AlmostMonoField almost_mono_field(const BitField& spins,
+                                  double ratio_threshold, int max_radius = 0);
+
+// Packs a row-major +1/-1 field once and runs the packed kernel.
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   int n, double ratio_threshold,
                                   int max_radius = 0);

@@ -4,7 +4,9 @@
 // The monochromatic region of an agent u is the largest-radius
 // l-infinity ball (neighborhood) of single-type agents that contains u;
 // M is its size (agent count). We compute, per final configuration:
-//   * radius(c) for every center c (one distance transform, O(n^2));
+//   * radius(c) for every center c: iterated 3x3 erosion of the two type
+//     masks on the packed spins, O(rmax * n^2 / 64) words for the
+//     largest radius rmax, plus one write per center;
 //   * M(u) for sampled agents u: max over centers c covering u, scanned
 //     over the (2 rmax + 1)^2 window around u, rmax the largest radius;
 //   * the grid-wide largest monochromatic ball.
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "grid/point.h"
+#include "lattice/bitfield.h"
 #include "rng/rng.h"
 
 namespace seg {
@@ -26,7 +29,10 @@ struct MonoRegionField {
   std::vector<std::int32_t> radius;
 };
 
-// One distance transform over the spin field.
+// Per-center radii of an n x n packed spin field (width == height).
+MonoRegionField mono_region_field(const BitField& spins);
+
+// Packs a row-major +1/-1 field once and runs the packed kernel.
 MonoRegionField mono_region_field(const std::vector<std::int8_t>& spins,
                                   int n);
 
@@ -61,7 +67,7 @@ double mean_mono_region_size(const MonoRegionField& field,
 // Largest monochromatic ball size anywhere on the grid.
 std::int64_t largest_mono_region(const MonoRegionField& field);
 
-// Convenience overloads on a model's current spins.
+// The field of a model's current spins, read from its packed bits.
 MonoRegionField mono_region_field(const SchellingModel& model);
 
 }  // namespace seg

@@ -194,6 +194,7 @@ std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
 
 const MonoRegionField& MetricContext::mono() {
   if (!mono_) {
+    SEG_PHASE("mono_field");
     mono_ = std::make_unique<MonoRegionField>(mono_region_field(model));
   }
   return *mono_;
@@ -201,6 +202,7 @@ const MonoRegionField& MetricContext::mono() {
 
 const AlmostMonoField& MetricContext::almost() {
   if (!almost_) {
+    SEG_PHASE("almost_field");
     almost_ = std::make_unique<AlmostMonoField>(
         almost_mono_field(model, spec.almost_eps));
   }

@@ -81,26 +81,48 @@ TEST(Almost, MatchesBruteForceOnRandomGrid) {
   }
 }
 
-// Reference radius field: every radius up to max_radius, no cutoff.
-std::vector<std::int32_t> full_radius_scan(
-    const std::vector<std::int8_t>& spins, int n, double threshold,
-    int max_radius) {
-  std::vector<std::int32_t> radius(spins.size(), 0);
+// Minority count of the ball of every radius 0..(n - 1) / 2 around every
+// center (index c * (rmax + 1) + r), by direct counting ring by ring.
+std::vector<std::int64_t> ball_minorities(const std::vector<std::int8_t>& spins,
+                                          int n) {
+  const int rmax = (n - 1) / 2;
+  const auto plus_at = [&](int x, int y) {
+    return spins[static_cast<std::size_t>(torus_wrap(y, n)) * n +
+                 torus_wrap(x, n)] > 0;
+  };
+  std::vector<std::int64_t> minority(spins.size() * (rmax + 1));
   for (int cy = 0; cy < n; ++cy) {
     for (int cx = 0; cx < n; ++cx) {
-      for (int r = 1; r <= max_radius; ++r) {
-        std::int64_t plus = 0;
-        for (int dy = -r; dy <= r; ++dy) {
-          for (int dx = -r; dx <= r; ++dx) {
-            plus += spins[torus_wrap(cy + dy, n) * n + torus_wrap(cx + dx, n)] > 0;
+      const std::size_t c = static_cast<std::size_t>(cy) * n + cx;
+      std::int64_t plus = plus_at(cx, cy);
+      for (int r = 0; r <= rmax; ++r) {
+        if (r > 0) {
+          for (int k = -r; k <= r; ++k) {
+            plus += plus_at(cx + k, cy - r) + plus_at(cx + k, cy + r);
+          }
+          for (int k = -r + 1; k <= r - 1; ++k) {
+            plus += plus_at(cx - r, cy + k) + plus_at(cx + r, cy + k);
           }
         }
-        const std::int64_t size = ball_size(r);
-        const std::int64_t minority = std::min(plus, size - plus);
-        if (static_cast<double>(minority) <=
-            threshold * static_cast<double>(size - minority)) {
-          radius[static_cast<std::size_t>(cy) * n + cx] = r;
-        }
+        minority[c * (rmax + 1) + r] = std::min(plus, ball_size(r) - plus);
+      }
+    }
+  }
+  return minority;
+}
+
+// Reference radius field: every radius up to max_radius, no cutoff.
+std::vector<std::int32_t> full_radius_scan(
+    const std::vector<std::int64_t>& minority, int n, double threshold,
+    int max_radius) {
+  const int rmax = (n - 1) / 2;
+  std::vector<std::int32_t> radius(static_cast<std::size_t>(n) * n, 0);
+  for (std::size_t c = 0; c < radius.size(); ++c) {
+    for (int r = 1; r <= max_radius; ++r) {
+      const std::int64_t m = minority[c * (rmax + 1) + r];
+      if (static_cast<double>(m) <=
+          threshold * static_cast<double>(ball_size(r) - m)) {
+        radius[c] = r;
       }
     }
   }
@@ -108,43 +130,63 @@ std::vector<std::int32_t> full_radius_scan(
 }
 
 TEST(Almost, CutoffMatchesFullRadiusScan) {
-  const int n = 15;
-  const int rmax = (n - 1) / 2;
   Rng rng(8);
-  std::vector<std::int8_t> mixed(n * n);
-  for (auto& s : mixed) s = rng.bernoulli(0.5) ? 1 : -1;
-  std::vector<std::int8_t> skewed(n * n);
-  for (auto& s : skewed) s = rng.bernoulli(0.93) ? 1 : -1;
-  const std::vector<std::int8_t> uniform(n * n, 1);
-
-  // Tiny threshold on a mixed grid: threshold * ball_size(rmax) < 1, so
-  // the cutoff fires at r = 1 at every center whose radius-1 ball holds
-  // both types, which leaves those centers at radius 0.
-  const double tiny = 1e-4;
-  ASSERT_LT(tiny * static_cast<double>(ball_size(rmax)), 1.0);
-  const auto mixed_ref = full_radius_scan(mixed, n, tiny, rmax);
-  EXPECT_GT(std::count(mixed_ref.begin(), mixed_ref.end(), 0), n * n / 2);
-  EXPECT_EQ(almost_mono_field(mixed, n, tiny).radius, mixed_ref);
-  // Threshold 0 admits monochromatic balls only; the cutoff is 0 too.
-  EXPECT_EQ(almost_mono_field(mixed, n, 0.0).radius,
-            full_radius_scan(mixed, n, 0.0, rmax));
-
-  // Threshold 1: minority <= size / 2 < ball_size(rmax), never cut off.
-  const auto skewed_ref = full_radius_scan(skewed, n, 1.0, rmax);
-  EXPECT_EQ(almost_mono_field(skewed, n, 1.0).radius, skewed_ref);
-
-  // A mid threshold, where the cutoff lands at varying radii, with and
-  // without a max_radius cap.
-  for (const int cap : {rmax, 3}) {
-    const auto ref = full_radius_scan(skewed, n, 0.05, cap);
-    EXPECT_EQ(almost_mono_field(skewed, n, 0.05, cap).radius, ref) << cap;
-  }
-
-  // All one type: minority 0 everywhere, every radius passes.
-  for (const double threshold : {0.0, tiny, 0.05, 1.0}) {
-    const auto ref = full_radius_scan(uniform, n, threshold, rmax);
-    EXPECT_EQ(almost_mono_field(uniform, n, threshold).radius, ref);
-    for (const auto r : ref) EXPECT_EQ(r, rmax);
+  for (const int n : {15, 64, 65}) {
+    const int rmax = (n - 1) / 2;
+    const double tiny = 1e-4;
+    ASSERT_LT(tiny * static_cast<double>(ball_size(rmax)), 1.0);
+    ASSERT_LT(0.05 * static_cast<double>(ball_size(1)), 1.0);
+    ASSERT_GE(0.05 * static_cast<double>(ball_size(3)), 1.0);
+    struct Case {
+      double threshold;
+      int cap;  // max_radius; 0 = (n - 1) / 2
+    };
+    const Case cases[] = {
+        // threshold * ball_size(max_radius) < 1: the mono shortcut, also
+        // under a cap that makes a mid threshold take it.
+        {tiny, 0}, {0.05, 1},
+        // A mid threshold whose cutoff lands at varying radii, with and
+        // without a cap.
+        {0.05, 0}, {0.05, 3},
+        // Threshold 1 is never cut off; threshold 0 admits monochromatic
+        // balls only; a negative threshold admits no ball of radius >= 1.
+        {1.0, 0}, {0.0, 0}, {-0.5, 0}};
+    const std::vector<std::int8_t> uniform(static_cast<std::size_t>(n) * n,
+                                           1);
+    for (const double p : {0.5, 0.93}) {
+      const auto spins = random_spins(n, p, rng);
+      const auto minority = ball_minorities(spins, n);
+      const auto mono = mono_region_field(spins, n);
+      for (const Case& c : cases) {
+        const int cap = c.cap > 0 ? c.cap : rmax;
+        const auto field = almost_mono_field(spins, n, c.threshold, c.cap);
+        const auto ref = full_radius_scan(minority, n, c.threshold, cap);
+        ASSERT_EQ(field.radius, ref)
+            << "n=" << n << " p=" << p << " threshold=" << c.threshold
+            << " cap=" << cap;
+        if (c.threshold == tiny && p == 0.5) {
+          // The cut fires at r = 1 wherever the radius-1 ball is mixed.
+          EXPECT_GT(std::count(ref.begin(), ref.end(), 0), n * n / 2);
+        }
+        // Every monochromatic ball passes any threshold >= 0.
+        if (c.threshold < 0.0) continue;
+        for (std::size_t i = 0; i < field.radius.size(); ++i) {
+          ASSERT_GE(field.radius[i], std::min(mono.radius[i], cap))
+              << "n=" << n << " p=" << p << " threshold=" << c.threshold
+              << " cap=" << cap << " center " << i;
+        }
+      }
+    }
+    // All one type: minority 0 everywhere, every radius up to the cap
+    // passes any threshold >= 0.
+    for (const Case& c : cases) {
+      if (c.threshold < 0.0) continue;
+      const int cap = c.cap > 0 ? c.cap : rmax;
+      for (const auto r :
+           almost_mono_field(uniform, n, c.threshold, c.cap).radius) {
+        ASSERT_EQ(r, cap) << "n=" << n << " threshold=" << c.threshold;
+      }
+    }
   }
 }
 
@@ -157,8 +199,11 @@ TEST(Almost, RegionOfAgentAtLeastMonoRegion) {
   for (auto& s : spins) s = rng.bernoulli(0.75) ? 1 : -1;
   const auto almost = almost_mono_field(spins, n, 0.05);
   const auto mono = mono_region_field(spins, n);
-  for (const Point u : {Point{0, 0}, Point{7, 7}, Point{14, 3}}) {
-    EXPECT_GE(almost_region_size_of(almost, u), mono_region_size_of(mono, u));
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      EXPECT_GE(almost_region_size_of(almost, {x, y}),
+                mono_region_size_of(mono, {x, y}));
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include "analysis/regions.h"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "core/dynamics.h"
@@ -12,6 +15,157 @@ TEST(Regions, BallSize) {
   EXPECT_EQ(ball_size(0), 1);
   EXPECT_EQ(ball_size(1), 9);
   EXPECT_EQ(ball_size(3), 49);
+}
+
+// Sides around the packed kernel's word boundaries: padding inside one
+// word, exactly one word, one bit into a second word, two words with
+// padding, and a third word.
+constexpr int kSides[] = {13, 63, 64, 65, 120, 130};
+
+std::int8_t spin_at(const std::vector<std::int8_t>& spins, int n, int x,
+                    int y) {
+  return spins[static_cast<std::size_t>(torus_wrap(y, n)) * n +
+               torus_wrap(x, n)];
+}
+
+// Reference radius: with d the torus-chessboard distance from the center
+// to the nearest site of the other type (found ring by ring), d - 1,
+// capped at (n - 1) / 2.
+std::vector<std::int32_t> ring_scan_radius(
+    const std::vector<std::int8_t>& spins, int n) {
+  const int cap = (n - 1) / 2;
+  std::vector<std::int32_t> radius(spins.size(), cap);
+  for (int cy = 0; cy < n; ++cy) {
+    for (int cx = 0; cx < n; ++cx) {
+      const std::int8_t t = spin_at(spins, n, cx, cy);
+      for (int d = 1; d <= cap; ++d) {
+        bool other = false;
+        for (int k = -d; k <= d; ++k) {
+          other = other || spin_at(spins, n, cx + k, cy - d) != t ||
+                  spin_at(spins, n, cx + k, cy + d) != t ||
+                  spin_at(spins, n, cx - d, cy + k) != t ||
+                  spin_at(spins, n, cx + d, cy + k) != t;
+        }
+        if (other) {
+          radius[static_cast<std::size_t>(cy) * n + cx] = d - 1;
+          break;
+        }
+      }
+    }
+  }
+  return radius;
+}
+
+TEST(MonoRadius, UniformGridReportsMaxRadius) {
+  for (const int n : kSides) {
+    for (const std::int8_t type : {1, -1}) {
+      const std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n,
+                                           type);
+      for (const auto r : mono_region_field(spins, n).radius) {
+        ASSERT_EQ(r, (n - 1) / 2) << "n=" << n << " type=" << int{type};
+      }
+    }
+  }
+}
+
+TEST(MonoRadius, IsolatedOppositeSite) {
+  // The lone site sits on both seams; every other site's radius is its
+  // distance to it minus 1, and the lone site's own radius is 0.
+  for (const int n : kSides) {
+    std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n, 1);
+    const Point lone{n - 1, 0};
+    spins[static_cast<std::size_t>(lone.y) * n + lone.x] = -1;
+    const auto radius = mono_region_field(spins, n).radius;
+    for (int y = 0; y < n; ++y) {
+      for (int x = 0; x < n; ++x) {
+        const int d = torus_linf({x, y}, lone, n);
+        const int expected = d == 0 ? 0 : std::min((n - 1) / 2, d - 1);
+        ASSERT_EQ(radius[static_cast<std::size_t>(y) * n + x], expected)
+            << "n=" << n << " at (" << x << "," << y << ")";
+      }
+    }
+  }
+}
+
+TEST(MonoRadius, HalfAndHalfGrid) {
+  // Columns x < n / 2 are +1: a site's radius is its column distance to
+  // the nearest other-type column (across either boundary) minus 1.
+  for (const int n : kSides) {
+    std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n);
+    for (int y = 0; y < n; ++y) {
+      for (int x = 0; x < n; ++x) {
+        spins[static_cast<std::size_t>(y) * n + x] = x < n / 2 ? 1 : -1;
+      }
+    }
+    const auto radius = mono_region_field(spins, n).radius;
+    for (int x = 0; x < n; ++x) {
+      int d = n;
+      for (int ox = 0; ox < n; ++ox) {
+        if ((ox < n / 2) != (x < n / 2)) {
+          d = std::min(d, std::abs(torus_delta(x, ox, n)));
+        }
+      }
+      for (int y = 0; y < n; ++y) {
+        ASSERT_EQ(radius[static_cast<std::size_t>(y) * n + x], d - 1)
+            << "n=" << n << " at (" << x << "," << y << ")";
+      }
+    }
+  }
+}
+
+TEST(MonoRadius, BallsAreActuallyMonochromatic) {
+  Rng rng(123);
+  for (const int n : kSides) {
+    const auto spins = random_spins(n, 0.7, rng);
+    const auto radius = mono_region_field(spins, n).radius;
+    for (int cy = 0; cy < n; ++cy) {
+      for (int cx = 0; cx < n; ++cx) {
+        const std::int32_t r = radius[static_cast<std::size_t>(cy) * n + cx];
+        const std::int8_t center = spin_at(spins, n, cx, cy);
+        bool mono = true;
+        for (int dy = -r; dy <= r; ++dy) {
+          for (int dx = -r; dx <= r; ++dx) {
+            mono = mono && spin_at(spins, n, cx + dx, cy + dy) == center;
+          }
+        }
+        ASSERT_TRUE(mono) << "n=" << n << " at (" << cx << "," << cy << ")";
+        // Radius r + 1 must fail unless r is the cap.
+        if (r < (n - 1) / 2) {
+          bool grows = true;
+          for (int dy = -r - 1; dy <= r + 1; ++dy) {
+            for (int dx = -r - 1; dx <= r + 1; ++dx) {
+              grows = grows && spin_at(spins, n, cx + dx, cy + dy) == center;
+            }
+          }
+          ASSERT_FALSE(grows) << "radius not maximal at n=" << n << " ("
+                              << cx << "," << cy << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(MonoRadius, MatchesRingScanOnRandomFields) {
+  Rng rng(77);
+  for (const int n : kSides) {
+    for (const double p : {0.5, 0.9, 0.98}) {
+      const auto spins = random_spins(n, p, rng);
+      ASSERT_EQ(mono_region_field(spins, n).radius,
+                ring_scan_radius(spins, n))
+          << "n=" << n << " p=" << p;
+    }
+    // A block of one type straddling both seams on a mixed background:
+    // large radii whose balls wrap.
+    auto spins = random_spins(n, 0.5, rng);
+    for (int dy = -n / 4; dy <= n / 4; ++dy) {
+      for (int dx = -n / 4; dx <= n / 4; ++dx) {
+        spins[static_cast<std::size_t>(torus_wrap(dy, n)) * n +
+              torus_wrap(dx, n)] = -1;
+      }
+    }
+    ASSERT_EQ(mono_region_field(spins, n).radius, ring_scan_radius(spins, n))
+        << "n=" << n << " seam block";
+  }
 }
 
 TEST(Regions, UniformGridHasMaximalRegions) {
