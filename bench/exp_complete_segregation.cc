@@ -7,6 +7,7 @@
 //     critical initial density p* < 1 above which the dynamics fixate on
 //     the all-majority state. We sweep p at tau = 1/2 and locate the
 //     finite-size fixation threshold.
+#include <algorithm>
 #include <cstdio>
 
 #include "analysis/clusters.h"
@@ -26,7 +27,7 @@ struct FixationResult {
   double majority_fraction_mean = 0.0;
 };
 
-// shards <= 1 runs the serial engine (bitwise the legacy trajectories);
+// shards == 1 runs the serial engine (bitwise the legacy trajectories);
 // shards > 1 runs each trial through the sharded sweep engine
 // (core/parallel_dynamics.h), which makes n >= 1024 sweeps practical.
 FixationResult measure(int n, int w, double tau, double p,
@@ -65,9 +66,17 @@ int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
   const int n = static_cast<int>(args.get_int("n", 64));
   const int w = static_cast<int>(args.get_int("w", 2));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 8));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
-  const int shards = static_cast<int>(args.get_int("shards", 1));
+  const std::size_t trials = args.get_u64("trials", 8);
+  const std::uint64_t seed = args.get_u64("seed", 21);
+  const std::uint64_t shard_flag = args.get_u64("shards", 1);
+  if (args.report_errors()) return 1;
+  if (shard_flag < 1) {
+    std::fprintf(stderr, "--shards: must be at least 1: '0'\n");
+    return 1;
+  }
+  // ShardLayout::stripes clamps the stripe count to the lattice side.
+  const int shards = static_cast<int>(
+      std::min<std::uint64_t>(shard_flag, static_cast<std::uint64_t>(n)));
 
   std::printf("== (A) No complete segregation at p = 1/2 (corollary of the "
               "exponential upper bound) ==\n");

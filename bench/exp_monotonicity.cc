@@ -28,12 +28,7 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(args.get_int("n", 96));
   const std::size_t trials = args.get_u64("trials", 4);
   const std::uint64_t seed = args.get_u64("seed", 5);
-  if (!args.errors().empty()) {
-    for (const std::string& e : args.errors()) {
-      std::fprintf(stderr, "%s\n", e.c_str());
-    }
-    return 1;
-  }
+  if (args.report_errors()) return 1;
   const int N = (2 * w + 1) * (2 * w + 1);
 
   std::printf("== Monotonicity in tau: measured E[M], E[M'] vs the "

@@ -26,13 +26,15 @@
 
 int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 31));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  const std::uint64_t seed = args.get_u64("seed", 31);
+  const std::size_t threads = args.get_u64("threads", 1);
+  const int L = static_cast<int>(args.get_int("L", 192));
+  const std::size_t pair_trials = args.get_u64("pairs", 24);
+  const int Lsub = static_cast<int>(args.get_int("Lsub", 61));
+  const std::size_t radius_trials = args.get_u64("radius_trials", 400);
+  if (args.report_errors()) return 1;
 
   std::printf("== Theorem 4 (chemical distance, supercritical) ==\n");
-  const int L = static_cast<int>(args.get_int("L", 192));
-  const auto pair_trials =
-      static_cast<std::size_t>(args.get_int("pairs", 24));
 
   seg::BuiltinCampaign stretch;
   seg::make_builtin_campaign("percolation_stretch",
@@ -64,9 +66,6 @@ int main(int argc, char** argv) {
               "tail vanishing as p grows.\n\n");
 
   std::printf("== Theorem 5 (cluster-radius decay, subcritical) ==\n");
-  const int Lsub = static_cast<int>(args.get_int("Lsub", 61));
-  const auto radius_trials =
-      static_cast<std::size_t>(args.get_int("radius_trials", 400));
 
   seg::BuiltinCampaign radius;
   seg::make_builtin_campaign("percolation_radius",

@@ -100,12 +100,7 @@ int main(int argc, char** argv) {
   options.checkpoint_path = args.get_string("checkpoint", "");
   options.resume = args.get_bool("resume", false);
   const std::string out = args.get_string("out", "");
-  if (!args.errors().empty()) {
-    for (const std::string& e : args.errors()) {
-      std::fprintf(stderr, "%s\n", e.c_str());
-    }
-    return 1;
-  }
+  if (args.report_errors()) return 1;
 
   seg::BuiltinCampaign campaign;
   seg::make_builtin_campaign("region_size", {.replicas = trials}, &campaign);

@@ -18,8 +18,9 @@ int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
   const int n = static_cast<int>(args.get_int("n", 96));
   const int w = static_cast<int>(args.get_int("w", 3));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+  const std::size_t trials = args.get_u64("trials", 4);
+  const std::uint64_t seed = args.get_u64("seed", 9);
+  if (args.report_errors()) return 1;
   const int N = (2 * w + 1) * (2 * w + 1);
 
   std::printf("== Static vs cascading regimes across tau (w=%d, N=%d, "

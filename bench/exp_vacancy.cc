@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(args.get_int("n", 64));
   const int w = static_cast<int>(args.get_int("w", 2));
   const double tau = args.get_double("tau", 0.45);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 41));
+  const std::size_t trials = args.get_u64("trials", 4);
+  const std::uint64_t seed = args.get_u64("seed", 41);
+  if (args.report_errors()) return 1;
 
   std::printf("== Glauber (open system) vs vacancy relocation (closed "
               "system), tau=%.2f, w=%d, n=%d ==\n\n",

@@ -11,6 +11,7 @@
 // event logs — so per-panel measurement is O(1) instead of an O(n^2)
 // rescan (only the mono-ball column still rescans the spins, by erosion
 // of the packed bits).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <sys/stat.h>
@@ -51,14 +52,16 @@ int main(int argc, char** argv) {
   params.tau = args.get_double("tau", 0.42);
   params.p = 0.5;
   const std::uint64_t seed = args.get_u64("seed", 2017);
-  const int shards = static_cast<int>(args.get_int("shards", 1));
+  const std::uint64_t shard_flag = args.get_u64("shards", 1);
   const std::string out_dir = args.get_string("out", "out_fig1");
-  if (!args.errors().empty()) {
-    for (const std::string& e : args.errors()) {
-      std::fprintf(stderr, "%s\n", e.c_str());
-    }
+  if (args.report_errors()) return 1;
+  if (shard_flag < 1) {
+    std::fprintf(stderr, "--shards: must be at least 1: '0'\n");
     return 1;
   }
+  // ShardLayout::stripes clamps the stripe count to the lattice side.
+  const int shards = static_cast<int>(std::min<std::uint64_t>(
+      shard_flag, static_cast<std::uint64_t>(params.n)));
   ::mkdir(out_dir.c_str(), 0755);
 
   std::printf("== Figure 1: segregation dynamics, tau=%.2f, %dx%d, N=%d, "
@@ -75,8 +78,8 @@ int main(int argc, char** argv) {
           : seg::SchellingModel(params, init);
   seg::Rng dyn = seg::Rng::stream(seed, 1);
   // Streaming measurement: serial runs feed it inline through the engine
-  // observer; sharded runs replay the per-shard flip logs at each
-  // reconciliation barrier.
+  // observer; sharded runs replay the per-shard and band-chain flip logs
+  // after each sweep.
   seg::StreamingObservables streaming(model.spins(), params.n);
   if (shards <= 1) model.set_flip_observer(&streaming);
   // Serial epochs share `dyn`; sharded epochs re-derive fresh per-shard

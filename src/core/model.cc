@@ -55,7 +55,7 @@ BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
                           params.shape == NeighborhoodShape::kMoore,
                           neighborhood_offsets(params.shape, params.w),
                           spins, std::move(table),
-                          /*set_count=*/2, std::move(layout));
+                          /*set_count=*/2, std::move(layout), kBandSets);
 }
 
 BinarySpinEngine SchellingModel::make_graph_engine(
@@ -81,7 +81,7 @@ BinarySpinEngine SchellingModel::make_graph_engine(
     return code;
   };
   return BinarySpinEngine(std::move(graph), spins, code_of,
-                          /*set_count=*/2, std::move(partition));
+                          /*set_count=*/2, std::move(partition), kBandSets);
 }
 
 SchellingModel::SchellingModel(const ModelParams& params, Rng& rng)

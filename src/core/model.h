@@ -43,8 +43,10 @@ class SchellingModel {
 
   // Sharded variants for the parallel sweep engine
   // (core/parallel_dynamics.h): the unhappy/flippable sets are split per
-  // shard of `layout`. Serial dynamics must not drive a sharded model —
-  // the no-arg set accessors below only see shard 0.
+  // shard of `layout`, and each shard's flippable slice keeps its
+  // boundary-band sites apart from its interior ones (AgentSet's band
+  // split). Serial dynamics must not drive a sharded model — the no-arg
+  // set accessors below only see shard 0.
   SchellingModel(const ModelParams& params, Rng& rng, ShardLayout layout);
   SchellingModel(const ModelParams& params, std::vector<std::int8_t> spins,
                  ShardLayout layout);
@@ -206,6 +208,10 @@ class SchellingModel {
   const std::vector<Point>& offsets() const { return engine_.offsets(); }
 
  private:
+  // The one band-split set: Glauber's phase A samples interior flippable
+  // sites only. The unhappy set (Kawasaki's) stays unsplit.
+  static constexpr std::uint8_t kBandSets = 1u << kFlippableSet;
+
   static BinarySpinEngine make_engine(const ModelParams& params,
                                       std::vector<std::int8_t> spins,
                                       ShardLayout layout);

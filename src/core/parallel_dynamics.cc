@@ -1,6 +1,8 @@
 #include "core/parallel_dynamics.h"
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -17,12 +19,11 @@ namespace seg {
 
 namespace {
 
-std::size_t pool_width(std::size_t requested, int shards) {
-  std::size_t width = requested;
-  if (width == 0) {
-    width = std::max(1u, std::thread::hardware_concurrency());
-  }
-  return std::min(width, static_cast<std::size_t>(shards));
+// Threads for phase A: as requested, or one per hardware thread; the
+// team clamps it to the shard count.
+std::size_t team_width(std::size_t requested) {
+  if (requested != 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 // Per-shard unhappy split into +1 / -1 classes; the Kawasaki proposal
@@ -43,6 +44,7 @@ std::pair<std::size_t, std::size_t> shard_unhappy_partition(
 ParallelRunResult run_parallel_glauber(SchellingModel& model,
                                        std::uint64_t seed,
                                        const ParallelOptions& options) {
+  using Clock = std::chrono::steady_clock;
   const int k = model.shard_count();
   StreamingObservables* streaming = options.streaming;
   SEG_ASSERT(model.flip_observer() == nullptr || k == 1,
@@ -50,114 +52,168 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
                  << "-shard model: phase A is concurrent; route streaming "
                     "measurement through ParallelOptions::streaming");
 
-  struct ShardState {
+  // One Poisson chain per shard interior plus one for the boundary band.
+  // `time` is the chain's clock; `last_flip` the time of its latest flip.
+  // Cache-line aligned: phase-A workers update their chain on every flip.
+  struct alignas(64) Chain {
+    explicit Chain(Rng stream) : rng(stream) {}
     Rng rng;
-    std::vector<std::uint32_t> queue;  // deferred boundary draws
-    std::vector<std::uint32_t> events;  // applied flips, for streaming
+    double time = 0.0;
+    double last_flip = 0.0;
     std::uint64_t flips = 0;            // this sweep
-    std::uint64_t deferred = 0;         // this sweep
-    double time = 0.0;                  // shard-local Poisson clock
+    std::vector<std::uint32_t> events;  // applied flips, for streaming
+    Clock::time_point done{};           // end of phase A (telemetry)
   };
-  std::vector<ShardState> shards;
+  std::vector<Chain> shards;
   shards.reserve(k);
-  for (int s = 0; s < k; ++s) {
-    shards.push_back(ShardState{Rng::stream(seed, s), {}, {}, 0, 0, 0.0});
-  }
+  for (int s = 0; s < k; ++s) shards.emplace_back(Rng::stream(seed, s));
+  Chain band(Rng::stream(seed, static_cast<std::uint64_t>(k)));
 
   const std::uint64_t quantum =
       options.sweep_quantum > 0
           ? options.sweep_quantum
           : std::max<std::uint64_t>(256, model.agent_count() / (4 * k));
+  const auto band_total = [&] {
+    std::size_t total = 0;
+    for (int s = 0; s < k; ++s) total += model.flippable_set(s).band_size();
+    return total;
+  };
 
-  ThreadPool pool(pool_width(options.threads, k), "shards");
+  ThreadTeam team(team_width(options.threads), static_cast<std::size_t>(k));
   ParallelRunResult result;
-  std::vector<std::uint32_t> reconciled_events;
   std::uint64_t flips_since_sample = 0;
 
   while (!model.terminated() && result.flips < options.max_flips &&
          result.sweeps < options.max_sweeps) {
     SEG_PHASE("sweep");
-    const std::uint64_t budget =
-        std::min(quantum, options.max_flips - result.flips);
-
-    // Phase A: every shard advances its own subsystem. Interior flips
-    // stay entirely inside the shard (ShardLayout isolation), so the
-    // shared engine is written race-free; the first boundary draw is
-    // deferred and blocks the shard until reconciliation.
-    parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t s) {
-      SEG_PHASE("phase_a_shard");
-      ShardState& st = shards[s];
-      const AgentSet& flippable =
-          model.flippable_set(static_cast<int>(s));
-      for (std::uint64_t b = 0; b < budget; ++b) {
-        if (flippable.empty()) break;
-        const double dt = st.rng.exponential(
-            static_cast<double>(flippable.size()));
-        st.time += dt;
-        const std::uint32_t id = flippable.sample(st.rng);
-        if (model.shard_boundary(id)) {
-          st.queue.push_back(id);
-          ++st.deferred;
+    const std::uint64_t remaining = options.max_flips - result.flips;
+    // One shard: no band and no slice end, a sweep is `quantum` draws of
+    // the serial loop. k shards: the slice [start, horizon) holds
+    // `quantum` expected draws per shard at the current total rate but
+    // never more than one unit of time (an agent's mean ring interval),
+    // which bounds how late a flip on one side of a seam reaches the
+    // chain on the other side; the k + 1 chains split the flip budget.
+    double horizon = std::numeric_limits<double>::infinity();
+    std::uint64_t cap = std::min(quantum, remaining);
+    if (k > 1) {
+      double start = band.time;
+      for (const Chain& st : shards) start = std::min(start, st.time);
+      horizon = start + std::min(1.0, static_cast<double>(quantum) * k /
+                                          static_cast<double>(
+                                              model.count_flippable()));
+      const auto chains = static_cast<std::uint64_t>(k) + 1;
+      cap = remaining / chains + (remaining % chains != 0 ? 1 : 0);
+    }
+    // Runs chain `st` up to time `until` (or its share of the budget):
+    // `rate()` is the size of the site set it covers, `pick(rate)` draws a
+    // site uniformly from it. A draw past `until` is discarded: the clocks
+    // are memoryless, so the chain resumes there next slice with a fresh
+    // draw.
+    const auto advance = [&](Chain& st, double until, auto&& rate,
+                             auto&& pick) {
+      double t = st.time;
+      while (t < until && st.flips < cap) {
+        const std::size_t r = rate();
+        if (r == 0) {
+          t = until;
           break;
         }
+        const double next =
+            t + st.rng.exponential(static_cast<double>(r));
+        if (next > until) {
+          t = until;
+          break;
+        }
+        t = next;
+        const std::uint32_t id = pick(r);
         model.flip(id);
         ++st.flips;
+        st.last_flip = t;
         if (streaming != nullptr) st.events.push_back(id);
       }
+      st.time = t;
+    };
+
+    // Phase A: every shard runs its interior chain. An interior flip
+    // touches only its own shard's storage (ShardLayout isolation) and
+    // the chain never samples a band site, so shards run race-free and
+    // never stop early.
+    team.run([&](std::size_t s) {
+      {
+        SEG_PHASE("phase_a_shard");
+        Chain& st = shards[s];
+        const AgentSet& flippable = model.flippable_set(static_cast<int>(s));
+        advance(
+            st, horizon, [&] { return flippable.interior_size(); },
+            [&](std::size_t) { return flippable.sample_interior(st.rng); });
+      }
+      if (obs::enabled()) shards[s].done = Clock::now();
     });
-
-    // Fold sweep statistics in shard order (deterministic). Telemetry
-    // counters are bumped once per sweep with the folded deltas, so the
-    // phase-A proposal loops stay macro-free.
-    std::uint64_t sweep_flips = 0;
-    std::int64_t queue_depth = 0;
-    for (ShardState& st : shards) {
-      sweep_flips += st.flips;
-      result.flips += st.flips;
-      result.deferred += st.deferred;
-      SEG_COUNT("dynamics.deferred", st.deferred);
-      queue_depth += static_cast<std::int64_t>(st.queue.size());
-      result.final_time = std::max(result.final_time, st.time);
-      st.flips = 0;
-      st.deferred = 0;
+    if (obs::enabled()) {
+      // Idle time of each shard between its phase A and the barrier.
+      const Clock::time_point barrier = Clock::now();
+      for (const Chain& st : shards) {
+        SEG_HISTOGRAM("phase.barrier_wait_us",
+                      std::chrono::duration_cast<std::chrono::microseconds>(
+                          barrier - st.done)
+                          .count());
+      }
     }
-    SEG_COUNT("dynamics.flips", sweep_flips);
-    // Queue pressure at the barrier: how much work phase A pushed into
-    // the serial reconciliation pass this sweep.
-    SEG_GAUGE_SET("dynamics.conflict_queue_depth", queue_depth);
-    SEG_TRACE_COUNTER("conflict_queue_depth", queue_depth);
 
-    // Phase B: serial reconciliation in ascending shard order. A deferred
-    // flip is re-validated against the current global state — an earlier
-    // reconciled flip may have changed its window.
+    // Fold phase A in shard order (deterministic); telemetry counters
+    // are bumped once per sweep, never inside the flip loops.
+    std::uint64_t sweep_flips = 0;
+    for (Chain& st : shards) {
+      sweep_flips += st.flips;
+      result.final_time = std::max(result.final_time, st.last_flip);
+      st.flips = 0;
+    }
+    // Band work waiting for phase B.
+    const std::size_t waiting = band_total();
+    SEG_GAUGE_SET("dynamics.conflict_queue_depth", waiting);
+    SEG_TRACE_COUNTER("conflict_queue_depth", waiting);
+
+    // Phase B: the band chain, serial, over the same slice but never
+    // past the slowest shard clock (a shard stopped by the flip budget
+    // ends its slice early). It samples the live band sets, so every
+    // draw is flippable when applied.
     {
       SEG_PHASE("reconcile");
-      std::uint64_t sweep_reconciled = 0;
-      for (ShardState& st : shards) {
-        for (const std::uint32_t id : st.queue) {
-          SEG_ASSERT(model.shard_boundary(id),
-                     "non-boundary site " << id
-                                          << " reached the conflict queue");
-          if (model.in_flippable_set(id)) {
-            model.flip(id);
-            ++sweep_reconciled;
-            ++result.reconciled;
-            ++result.flips;
-            if (streaming != nullptr) reconciled_events.push_back(id);
-          }
-        }
-        st.queue.clear();
-      }
-      SEG_COUNT("dynamics.reconciled", sweep_reconciled);
-      SEG_COUNT("dynamics.flips", sweep_reconciled);
+      double until = horizon;
+      for (const Chain& st : shards) until = std::min(until, st.time);
+      advance(
+          band, until, band_total, [&](std::size_t total) {
+            std::uint64_t r = band.rng.uniform_below(total);
+            int s = 0;
+            while (r >= model.flippable_set(s).band_size()) {
+              r -= model.flippable_set(s).band_size();
+              ++s;
+            }
+            // The band part is the prefix of the shard's flippable slice.
+            const std::uint32_t id = model.flippable_set(s).at(r);
+            SEG_ASSERT(model.shard_boundary(id),
+                       "interior site " << id << " sampled by the band chain");
+            return id;
+          });
+      result.final_time = std::max(result.final_time, band.last_flip);
+      result.deferred += band.flips;
+      result.reconciled += band.flips;
+      SEG_COUNT("dynamics.deferred", band.flips);
+      SEG_COUNT("dynamics.reconciled", band.flips);
     }
+    sweep_flips += band.flips;
+    result.flips += sweep_flips;
+    band.flips = 0;
+    SEG_COUNT("dynamics.flips", sweep_flips);
+    SEG_HISTOGRAM("dynamics.flips_per_sweep", sweep_flips);
+
     if (streaming != nullptr) {
-      // Drain the sweep's events serially: phase-A logs in shard order
-      // (interior sites, disjoint across shards and from the boundary
-      // sites phase B touches, so per-site ordering is preserved), then
-      // the reconciled boundary flips in application order. Samples are
-      // taken on the replayed stream every `streaming_sample_every`
-      // flips (or once per sweep when 0), deterministically.
+      // Replay the sweep serially: phase-A logs in shard order (interior
+      // sites of distinct shards, whose windows are disjoint, so the
+      // order between shards is immaterial), then the band flips in
+      // application order — exactly the history the engine went
+      // through. Samples are taken on the replayed stream every
+      // `streaming_sample_every` flips (or once per sweep when 0).
       SEG_PHASE("streaming_replay");
       const auto drain = [&](std::uint32_t id) {
         streaming->apply_flip(id);
@@ -167,12 +223,12 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
           streaming->record_sample();
         }
       };
-      for (ShardState& st : shards) {
+      for (Chain& st : shards) {
         for (const std::uint32_t id : st.events) drain(id);
         st.events.clear();
       }
-      for (const std::uint32_t id : reconciled_events) drain(id);
-      reconciled_events.clear();
+      for (const std::uint32_t id : band.events) drain(id);
+      band.events.clear();
       if (options.streaming_sample_every == 0) streaming->record_sample();
     }
     ++result.sweeps;
@@ -210,7 +266,7 @@ ParallelKawasakiResult run_parallel_kawasaki(
           : std::max<std::uint64_t>(512, model.agent_count() /
                                              static_cast<std::uint64_t>(k));
 
-  ThreadPool pool(pool_width(options.threads, k), "shards");
+  ThreadTeam team(team_width(options.threads), static_cast<std::size_t>(k));
   ParallelKawasakiResult result;
 
   while (result.swaps < options.max_swaps &&
@@ -218,7 +274,7 @@ ParallelKawasakiResult run_parallel_kawasaki(
     SEG_PHASE("kawasaki_sweep");
     const std::uint64_t swap_budget = options.max_swaps - result.swaps;
 
-    parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t si) {
+    team.run([&](std::size_t si) {
       SEG_PHASE("phase_a_shard");
       const int s = static_cast<int>(si);
       ShardState& st = shards[si];

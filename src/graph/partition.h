@@ -5,8 +5,8 @@
 // with a boundary classification: a node is INTERIOR to its part iff the
 // node and every neighbor live in the same part, so a flip there writes
 // counts/codes/sets of its own part only and the phase-A parallel sweep
-// stays race-free. Everything else is BOUNDARY and handled by the serial
-// phase-B reconciliation, exactly as with stripes.
+// stays race-free. Everything else is BOUNDARY and flipped by the serial
+// phase-B band chain, exactly as with stripes.
 //
 // greedy_bfs grows parts by breadth-first search from the lowest
 // unassigned id with per-part size targets — deterministic (no RNG, no

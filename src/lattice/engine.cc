@@ -40,12 +40,13 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
                                    std::vector<Point> offsets,
                                    const std::vector<std::int8_t>& spins,
                                    MembershipTable table, int set_count,
-                                   ShardLayout layout)
+                                   ShardLayout layout, std::uint8_t band_sets)
     : geometry_(n, w),
       layout_(std::move(layout)),
       shard_count_(layout_.shard_count()),
       dense_window_(dense_window),
       set_count_(set_count),
+      band_sets_(shard_count_ > 1 ? band_sets : 0),
       offsets_(std::move(offsets)),
       table_(std::move(table)),
       bits_(spins, n, n),
@@ -79,7 +80,8 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
 BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
                                    const std::vector<std::int8_t>& spins,
                                    const GraphCodeFn& code_of, int set_count,
-                                   GraphPartition partition)
+                                   GraphPartition partition,
+                                   std::uint8_t band_sets)
     // geometry_ and table_ are torus-path state; graph mode never consults
     // them, but neither type has a default constructor, so both get inert
     // placeholders (the smallest valid window, an empty table).
@@ -90,6 +92,7 @@ BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
       // Parts interleave ids, so any two of them may share a spin word.
       atomic_bits_(!partition.trivial()),
       set_count_(set_count),
+      band_sets_(partition.trivial() ? 0 : band_sets),
       table_(0, [](bool, int) { return std::uint8_t{0}; }),
       bits_(spins, static_cast<int>(spins.size()), 1),
       plus_count_(spins.size(), 0),
@@ -422,16 +425,7 @@ bool BinarySpinEngine::check_invariants() const {
       if (plus != plus_count_[id]) return false;
       const MembershipTable& table = class_tables_[table_of_[id]];
       if (status_[id] != table.code(spin(id) > 0, plus)) return false;
-      const int owner = partition_.part_of(id);
-      for (int s = 0; s < set_count_; ++s) {
-        for (int shard = 0; shard < shard_count_; ++shard) {
-          const bool want =
-              shard == owner && (((status_[id] >> s) & 1) != 0);
-          if (sets_[s * shard_count_ + shard].contains(id) != want) {
-            return false;
-          }
-        }
-      }
+      if (!memberships_match(id)) return false;
     }
     return true;
   }
@@ -448,18 +442,27 @@ bool BinarySpinEngine::check_invariants() const {
     }
     if (plus != plus_count(id)) return false;
     if (status_[id] != table_.code(spin(id) > 0, plus)) return false;
-    const int owner = layout_.shard_of(id);
-    for (int s = 0; s < set_count_; ++s) {
-      // The membership must live in the owning shard's slice and nowhere
-      // else — a flip routed through the wrong shard would double-count.
-      for (int shard = 0; shard < shard_count_; ++shard) {
-        const bool want =
-            shard == owner && (((status_[id] >> s) & 1) != 0);
-        if (sets_[s * shard_count_ + shard].contains(id) != want) {
-          return false;
-        }
-      }
+    if (!memberships_match(id)) return false;
+  }
+  return true;
+}
+
+bool BinarySpinEngine::memberships_match(std::uint32_t id) const {
+  const int owner = site_shard(id);
+  const bool boundary = shard_boundary(id);
+  for (int s = 0; s < set_count_; ++s) {
+    // The membership must live in the owning shard's slice and nowhere
+    // else — a flip routed through the wrong shard would double-count.
+    const bool member = ((status_[id] >> s) & 1) != 0;
+    for (int shard = 0; shard < shard_count_; ++shard) {
+      const AgentSet& slice = sets_[s * shard_count_ + shard];
+      if (slice.contains(id) != (member && shard == owner)) return false;
     }
+    // A band-split set holds a boundary site in its band part and an
+    // interior site in its interior part; other sets have no band.
+    const bool band_split = ((band_sets_ >> s) & 1) != 0;
+    const AgentSet& own = sets_[s * shard_count_ + owner];
+    if (member && own.in_band(id) != (band_split && boundary)) return false;
   }
   return true;
 }

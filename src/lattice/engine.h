@@ -26,11 +26,15 @@
 // layout-interior sites then touch only that shard's storage (spins,
 // counts, codes, sub-sets), which is what lets the parallel sweep engine
 // (core/parallel_dynamics.h) run interior flips of distinct shards
-// concurrently without locks. With the default trivial layout the engine
-// is bit-for-bit the serial engine. Two shards can share a 64-bit spin
-// word when a checkerboard layout cuts columns off 64-bit alignment; the
-// engine detects that at construction and routes those flips through
-// atomic fetch-xor.
+// concurrently without locks. The sets named in `band_sets` are further
+// split inside each shard slice into a boundary-band part and an
+// interior part (AgentSet's band split), routed by shard_boundary(id), so
+// the sweep engine can sample interior sites without ever drawing a
+// boundary site. With the default trivial layout the engine is
+// bit-for-bit the serial engine and `band_sets` is ignored. Two shards
+// can share a 64-bit spin word when a checkerboard layout cuts columns
+// off 64-bit alignment; the engine detects that at construction and
+// routes those flips through atomic fetch-xor.
 //
 // Graph mode: the second constructor takes a GraphTopology (graph/) in
 // place of the torus geometry. Neighborhood iteration becomes a CSR row
@@ -110,12 +114,14 @@ class BinarySpinEngine {
   // offsets with wrapped indexing. Spins must be +1/-1, size n*n.
   // `layout` must be trivial or partition the same torus with margin w.
   // The stencil may hold at most kMaxNeighborhoodSize sites; a larger one
-  // aborts construction in every build.
+  // aborts construction in every build. `band_sets` is a bit mask of the
+  // sets whose shard slices keep the band split (sharded layouts only).
   BinarySpinEngine(int n, int w, bool dense_window,
                    std::vector<Point> offsets,
                    const std::vector<std::int8_t>& spins,
                    MembershipTable table, int set_count,
-                   ShardLayout layout = ShardLayout());
+                   ShardLayout layout = ShardLayout(),
+                   std::uint8_t band_sets = 0);
 
   // Graph mode: spins live on `graph`'s nodes (size node_count()), and
   // `code_of` defines the membership rule per neighborhood-size class.
@@ -125,7 +131,8 @@ class BinarySpinEngine {
   BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
                    const std::vector<std::int8_t>& spins,
                    const GraphCodeFn& code_of, int set_count,
-                   GraphPartition partition = GraphPartition());
+                   GraphPartition partition = GraphPartition(),
+                   std::uint8_t band_sets = 0);
 
   int side() const { return geometry_.side(); }
   int radius() const { return geometry_.radius(); }
@@ -209,7 +216,9 @@ class BinarySpinEngine {
   FlipObserver* observer() const { return observer_; }
 
   // Full recount audit: counts match the stencil, codes match the table,
-  // memberships match the codes. O(n^2 N).
+  // memberships match the codes and live in the owning shard's slice, in
+  // its band part iff the set is band-split and shard_boundary(id).
+  // O(n^2 N).
   bool check_invariants() const;
 
  private:
@@ -224,6 +233,8 @@ class BinarySpinEngine {
   // dispatches a 4-compare kernel when the union fits in 4.
   static constexpr int kMaxBreaks = 8;
 
+  // check_invariants' membership audit for one site.
+  bool memberships_match(std::uint32_t id) const;
   void init_counts(const std::vector<std::int8_t>& spins);
   void init_codes();
   void init_breaks();
@@ -264,8 +275,19 @@ class BinarySpinEngine {
 
   void apply_code(std::uint32_t id, std::uint8_t have, std::uint8_t want) {
     // One branch on the trivial case keeps the serial hot path free of
-    // the per-row shard lookup.
-    const int shard = site_shard(id);
+    // the per-row shard lookup and the band routing.
+    if (shard_count_ == 1) {
+      update_sets(id, 0, /*band=*/0, have, want);
+    } else {
+      update_sets(id, site_shard(id), shard_boundary(id) ? band_sets_ : 0,
+                  have, want);
+    }
+  }
+
+  // Applies the membership change have -> want in `shard`'s slices; sets
+  // whose bit is in `band` go to (or leave) the band part.
+  void update_sets(std::uint32_t id, int shard, std::uint8_t band,
+                   std::uint8_t have, std::uint8_t want) {
     for (int s = 0; s < set_count_; ++s) {
       const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
       if ((have ^ want) & bit) {
@@ -274,12 +296,20 @@ class BinarySpinEngine {
           SEG_ASSERT(!target.contains(id),
                      "site " << id << " already in set " << s << " shard "
                              << shard << " on insert");
-          target.insert(id);
+          if (band & bit) {
+            target.insert_band(id);
+          } else {
+            target.insert(id);
+          }
         } else {
           SEG_ASSERT(target.contains(id),
                      "site " << id << " absent from set " << s << " shard "
                              << shard << " on erase");
-          target.erase(id);
+          if (band & bit) {
+            target.erase_band(id);
+          } else {
+            target.erase(id);
+          }
         }
       }
     }
@@ -334,6 +364,8 @@ class BinarySpinEngine {
   // with an unreachable sentinel.
   std::int32_t breaks_[kMaxBreaks];
   int set_count_;
+  // Sets kept band-split in every shard slice; 0 for trivial layouts.
+  std::uint8_t band_sets_ = 0;
   std::vector<Point> offsets_;
   MembershipTable table_;
   BitField bits_;

@@ -9,8 +9,9 @@ namespace seg {
 namespace {
 
 // Layout telemetry: shard count and boundary-site volume, the two
-// numbers that predict conflict-queue pressure (every boundary draw
-// defers to phase B). Boundary sites = rows-boundary union cols-boundary.
+// numbers that predict the serial share of a sharded run (every boundary
+// flip runs on the phase-B band chain). Boundary sites = rows-boundary
+// union cols-boundary.
 void publish_layout_gauges(const std::vector<std::uint8_t>& row_boundary,
                            const std::vector<std::uint8_t>& col_boundary,
                            int n, int shards) {

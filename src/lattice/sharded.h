@@ -14,8 +14,8 @@
 // an interior site of shard s reads and writes only sites of shard s
 // (its window is contained in s by definition), and conversely no other
 // shard's interior flip can touch any site of s. Boundary flips are the
-// only cross-shard interactions and are deferred by the sweep engine into
-// a serial reconciliation queue.
+// only cross-shard interactions; the sweep engine runs them on one serial
+// band chain after the shards' concurrent phase.
 //
 // Stripes vs checkerboard: stripes own whole rows, so window spans never
 // wrap mid-shard and the boundary fraction is ~2w/(n/k); a checkerboard
@@ -46,7 +46,7 @@ class ShardLayout {
 
   // Largest stripe count for which every stripe still has interior rows
   // (height >= 2w + 1). More stripes remain *correct* (an all-boundary
-  // stripe just defers every flip) but stop scaling.
+  // stripe leaves every flip to the serial band chain) but stop scaling.
   static int max_stripes(int n, int w) {
     const int k = n / (2 * w + 1);
     return k < 1 ? 1 : k;

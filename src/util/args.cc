@@ -1,5 +1,7 @@
 #include "util/args.h"
 
+#include <cstdio>
+
 #include "util/parse.h"
 
 namespace seg {
@@ -51,6 +53,13 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 bool ArgParser::has(const std::string& key) const {
   read_.insert(key);
   return values_.count(key) > 0;
+}
+
+bool ArgParser::report_errors() const {
+  for (const std::string& e : errors_) {
+    std::fprintf(stderr, "%s\n", e.c_str());
+  }
+  return !errors_.empty();
 }
 
 std::vector<std::string> ArgParser::unread() const {

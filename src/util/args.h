@@ -32,6 +32,9 @@ class ArgParser {
   // One "--key: <reason>: '<token>'" line per malformed value seen by the
   // typed getters above, in call order.
   const std::vector<std::string>& errors() const { return errors_; }
+  // Prints errors() to stderr, one line each; true iff there were any.
+  // The harnesses' "read every flag, then refuse to run" check.
+  bool report_errors() const;
 
   // Flags given on the command line that no getter or has() has asked
   // about so far, in sorted order. Read every flag first: whatever is

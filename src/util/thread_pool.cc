@@ -105,4 +105,54 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   pool.wait_idle();
 }
 
+ThreadTeam::ThreadTeam(std::size_t width, std::size_t count)
+    : count_(count),
+      width_(std::clamp<std::size_t>(width, 1,
+                                     std::max<std::size_t>(count, 1))) {
+  helpers_.reserve(width_ - 1);
+  for (std::size_t j = 1; j < width_; ++j) {
+    helpers_.emplace_back([this, j] { helper_loop(j); });
+  }
+}
+
+ThreadTeam::~ThreadTeam() {
+  stop_.store(true, std::memory_order_relaxed);
+  round_.fetch_add(1, std::memory_order_release);
+  round_.notify_all();
+  for (auto& h : helpers_) h.join();
+}
+
+void ThreadTeam::run(const std::function<void(std::size_t)>& fn) {
+  fn_ = &fn;
+  pending_.store(helpers_.size(), std::memory_order_relaxed);
+  round_.fetch_add(1, std::memory_order_release);
+  round_.notify_all();
+  run_share(0);
+  for (std::size_t left = pending_.load(std::memory_order_acquire);
+       left != 0; left = pending_.load(std::memory_order_acquire)) {
+    pending_.wait(left, std::memory_order_acquire);
+  }
+  fn_ = nullptr;
+}
+
+void ThreadTeam::run_share(std::size_t j) {
+  for (std::size_t i = j; i < count_; i += width_) (*fn_)(i);
+}
+
+// The caller waits for every helper before it starts the next round, so
+// a helper never misses one: at worst it finds the counter already moved
+// and starts at once.
+void ThreadTeam::helper_loop(std::size_t j) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    round_.wait(seen, std::memory_order_acquire);
+    seen = round_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    run_share(j);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
+    }
+  }
+}
+
 }  // namespace seg

@@ -3,8 +3,10 @@
 // so results are identical regardless of the number of workers.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -63,5 +65,39 @@ class ThreadPool {
 // completion. fn must be safe to call concurrently for distinct i.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
+
+// A fixed team for repeated rounds of `count` equal tasks (one per shard):
+// the calling thread plus `width - 1` helpers, where thread j always runs
+// indices j, j + width, j + 2 width, ... A round therefore costs the
+// slowest thread's fixed share. A shared queue (parallel_for) lets the
+// first worker to wake take a second task while another worker is still
+// waking, which doubles that round at random.
+class ThreadTeam {
+ public:
+  // width is clamped to [1, count].
+  ThreadTeam(std::size_t width, std::size_t count);
+  ~ThreadTeam();
+
+  ThreadTeam(const ThreadTeam&) = delete;
+  ThreadTeam& operator=(const ThreadTeam&) = delete;
+
+  // Runs fn(i) for i in [0, count) and returns when every call has
+  // finished. fn must be safe to call concurrently for distinct i.
+  void run(const std::function<void(std::size_t)>& fn);
+
+  std::size_t width() const { return width_; }
+
+ private:
+  void helper_loop(std::size_t j);
+  void run_share(std::size_t j);
+
+  const std::size_t count_;
+  const std::size_t width_;
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::atomic<std::uint64_t> round_{0};  // bumped to start a round
+  std::atomic<std::size_t> pending_{0};  // helpers still in the round
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> helpers_;
+};
 
 }  // namespace seg

@@ -1,6 +1,7 @@
 // AgentSet contract tests: O(1) swap-erase bookkeeping, idempotent edge
 // cases, and — critically for the dynamics — uniformity of sample(),
 // which realizes the Poisson-clock law.
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -86,7 +87,7 @@ TEST(AgentSet, SampleIsUniformChiSquare) {
     }
   }
   // Reduce to exactly 20 members.
-  std::vector<std::uint32_t> members(s.items());
+  std::vector<std::uint32_t> members(s.items().begin(), s.items().end());
   for (const std::uint32_t id : members) {
     if (s.size() > 20) s.erase(id);
   }
@@ -113,6 +114,61 @@ TEST(AgentSet, SampleIsUniformChiSquare) {
   // Every member must actually be reachable.
   for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_GT(observed[s.at(i)], 0);
+  }
+}
+
+// The band split: random band/interior inserts and erases on a windowed
+// set mirror a reference map, the band part stays the items prefix, and
+// interior sampling only ever returns interior members.
+TEST(AgentSet, BandSplitMirrorsReference) {
+  const std::uint32_t base = 1000;
+  const std::uint32_t capacity = 48;
+  AgentSet s(capacity, base);
+  std::unordered_map<std::uint32_t, bool> reference;  // id -> in band
+  Rng rng(21);
+  for (int step = 0; step < 20000; ++step) {
+    const auto id =
+        base + static_cast<std::uint32_t>(rng.uniform_below(capacity));
+    // A site's part is fixed, as shard_boundary(id) is: even ids are band.
+    const bool band = id % 2 == 0;
+    if (rng.bernoulli(0.5)) {
+      band ? s.insert_band(id) : s.insert(id);
+      reference[id] = band;
+    } else {
+      band ? s.erase_band(id) : s.erase(id);
+      reference.erase(id);
+    }
+    std::size_t band_members = 0;
+    for (const auto& entry : reference) band_members += entry.second;
+    ASSERT_EQ(s.size(), reference.size());
+    ASSERT_EQ(s.band_size(), band_members);
+    ASSERT_EQ(s.interior_size(), reference.size() - band_members);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const std::uint32_t member = s.at(i);
+      ASSERT_EQ(reference.count(member), 1u);
+      ASSERT_EQ(i < s.band_size(), reference[member]) << "slot " << i;
+      ASSERT_EQ(s.in_band(member), reference[member]);
+    }
+    if (s.interior_size() > 0) {
+      const std::uint32_t drawn = s.sample_interior(rng);
+      ASSERT_TRUE(s.contains(drawn));
+      ASSERT_FALSE(s.in_band(drawn));
+    }
+  }
+  for (std::uint32_t id = base; id < base + capacity; ++id) {
+    ASSERT_EQ(s.contains(id), reference.count(id) == 1);
+  }
+  EXPECT_FALSE(s.in_band(base + capacity + 5));  // outside the window
+}
+
+// Without a band, sample_interior is sample(): same draws, same items.
+TEST(AgentSet, InteriorSampleWithoutBandIsSample) {
+  AgentSet s(64);
+  for (std::uint32_t id = 0; id < 64; id += 3) s.insert(id);
+  s.erase(9);
+  Rng a(5), b(5);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(s.sample_interior(a), s.sample(b));
   }
 }
 

@@ -90,6 +90,15 @@ TEST(ArgParser, NegativeUnsignedRecordsErrorInsteadOfWrapping) {
   EXPECT_NE(p.errors()[0].find("'-1'"), std::string::npos);
 }
 
+TEST(ArgParser, ReportErrorsSaysWhetherAnyValueWasMalformed) {
+  const auto clean = make({"--seed", "3"});
+  EXPECT_EQ(clean.get_u64("seed", 1), 3u);
+  EXPECT_FALSE(clean.report_errors());
+  const auto bad = make({"--seed", "-1"});
+  EXPECT_EQ(bad.get_u64("seed", 1), 1u);
+  EXPECT_TRUE(bad.report_errors());
+}
+
 TEST(ArgParser, MalformedBoolRecordsError) {
   const auto p = make({"--resume", "maybe", "--quiet"});
   EXPECT_FALSE(p.get_bool("resume", false));

@@ -56,7 +56,9 @@ TEST(CampaignOutput, RegionSizeCsvPinned) {
 }
 
 TEST(CampaignOutput, ShardedRegionSizeCsvPinned) {
-  constexpr std::uint64_t kPinned = 0x9c9cd99a22d8599dull;
+  // Re-pinned when the sharded Glauber process moved the boundary band
+  // onto its own chain; the serial pins above are unchanged.
+  constexpr std::uint64_t kPinned = 0xb0ae175d86c1451full;
   const auto sharded = [](ScenarioSpec& spec) {
     small_region(spec);
     spec.shards = 2;

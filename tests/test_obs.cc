@@ -246,6 +246,19 @@ TEST(TelemetryDifferential, GoldenTrajectoryBitwiseUnchanged) {
   // or this differential is vacuous.
   EXPECT_GT(session.event_count(), 0u);
   EXPECT_GT(obs::Registry::instance().counter_value("engine.flips"), 0u);
+  // The sweep histograms: one flips_per_sweep value per sweep and one
+  // barrier wait per shard per sweep (the run above has 4 shards).
+  const auto observations = [](const std::string& name) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t b :
+         obs::Registry::instance().histogram_buckets(name)) {
+      total += b;
+    }
+    return total;
+  };
+  const std::uint64_t sweeps = observations("dynamics.flips_per_sweep");
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_EQ(observations("phase.barrier_wait_us"), 4 * sweeps);
 }
 
 #endif  // !SEG_TELEMETRY_DISABLED

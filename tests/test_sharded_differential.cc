@@ -11,10 +11,14 @@
 //     thread count (each shard's substream and sub-state are isolated;
 //     reconciliation is serial in shard order).
 //  3. At any shard count, counts/codes/memberships stay exact (full
-//     recount audits pass mid-run and at absorption), boundary flips all
-//     route through the conflict queue, and the absorbing states are
-//     genuine (no flippable agent remains).
+//     recount audits pass mid-run and at absorption), every flippable
+//     site sits in the band or interior part of its own shard's slice as
+//     shard_boundary() says, boundary flips all run on the band chain,
+//     and the absorbing states are genuine (no flippable agent remains).
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,8 @@
 #include "core/kawasaki.h"
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
+#include "graph/partition.h"
+#include "graph/topology.h"
 #include "lattice/sharded.h"
 
 namespace seg {
@@ -332,20 +338,21 @@ TEST(ShardedDifferential, LyapunovIncreasesUnderShardedGlauber) {
 }
 
 TEST(ShardedDifferential, FourShardGoldenTrajectory) {
-  // Frozen golden hash for a k = 4 stripe run (captured at the
-  // introduction of the sharded engine): pins the k-shard trajectory —
-  // phase A order, deferral rule, reconciliation order, per-shard
-  // substream derivation — against future refactors the same way the
-  // serial golden suite pins the serial engines.
-  constexpr std::uint64_t kGoldenSharded4 = 0x1d4e36dd87ec18cfull;
+  // Frozen golden hash for a k = 4 stripe run: pins the k-shard
+  // trajectory — interior/band split, slice horizon, band-chain order,
+  // per-chain substream derivation — against future refactors the same
+  // way the serial golden suite pins the serial engines. Re-pinned when
+  // phase A became interior-only with the band on its own chain (the
+  // k-shard process itself changed).
+  constexpr std::uint64_t kGoldenSharded4 = 0x6190f738e604ef38ull;
   ModelParams p{.n = 64, .w = 3, .tau = 0.45, .p = 0.5};
   Rng init = Rng::stream(3001, 0);
   SchellingModel model(p, init, ShardLayout::stripes(p.n, p.w, 4));
   const ParallelRunResult run = run_parallel_glauber(model, 3002);
   EXPECT_TRUE(run.terminated);
-  EXPECT_EQ(run.flips, 2707u);
-  EXPECT_EQ(run.deferred, 959u);
-  EXPECT_EQ(run.reconciled, 959u);
+  EXPECT_EQ(run.flips, 2658u);
+  EXPECT_EQ(run.deferred, 972u);
+  EXPECT_EQ(run.reconciled, 972u);
   std::uint64_t h = fnv1a(model.spins().data(), model.spins().size(),
                           14695981039346656037ULL);
   h = fnv1a(&run.flips, sizeof(run.flips), h);
@@ -353,6 +360,224 @@ TEST(ShardedDifferential, FourShardGoldenTrajectory) {
   h = fnv1a(&run.reconciled, sizeof(run.reconciled), h);
   h = fnv1a(&run.final_time, sizeof(run.final_time), h);
   EXPECT_EQ(h, kGoldenSharded4);
+}
+
+// ---- band split: interior chains and the band chain -----------------------
+
+// Owning shard of a site, for either sharding scheme.
+using OwnerFn = std::function<int(std::uint32_t)>;
+
+// Every flippable site sits in exactly one shard slice — its owner's — in
+// the band part iff shard_boundary(id); no other site is in any slice.
+void expect_band_split(const SchellingModel& model, const OwnerFn& owner) {
+  std::size_t members = 0;
+  for (int s = 0; s < model.shard_count(); ++s) {
+    const AgentSet& slice = model.flippable_set(s);
+    members += slice.size();
+    ASSERT_EQ(slice.band_size() + slice.interior_size(), slice.size());
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      // The band part is the prefix of the slice.
+      ASSERT_EQ(i < slice.band_size(), model.shard_boundary(slice.at(i)))
+          << "shard " << s << " slot " << i;
+    }
+  }
+  ASSERT_EQ(members, model.count_flippable());
+  for (std::uint32_t id = 0; id < model.agent_count(); ++id) {
+    int holders = 0;
+    int holder = -1;
+    for (int s = 0; s < model.shard_count(); ++s) {
+      if (model.flippable_set(s).contains(id)) {
+        ++holders;
+        holder = s;
+      }
+    }
+    if (!model.is_flippable(id)) {
+      ASSERT_EQ(holders, 0) << "site " << id;
+      continue;
+    }
+    ASSERT_EQ(holders, 1) << "site " << id;
+    ASSERT_EQ(holder, owner(id)) << "site " << id;
+    ASSERT_EQ(model.flippable_set(holder).in_band(id),
+              model.shard_boundary(id))
+        << "site " << id;
+  }
+}
+
+std::shared_ptr<const GraphTopology> regular_graph() {
+  return std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(512, 8, /*seed=*/7));
+}
+
+TEST(ShardedDifferential, BandSplitHoldsThroughoutRuns) {
+  // Audited after construction, after every single-sweep burst and at
+  // absorption, on stripes, a checkerboard and a graph partition.
+  ModelParams p{.n = 48, .w = 2, .tau = 0.45, .p = 0.5};
+  const auto run_audited = [](SchellingModel& model, const OwnerFn& owner) {
+    expect_band_split(model, owner);
+    ASSERT_TRUE(model.check_invariants());
+    ParallelOptions opt;
+    opt.sweep_quantum = 32;
+    opt.max_sweeps = 1;
+    opt.threads = 2;
+    for (int burst = 0; burst < 400 && !model.terminated(); ++burst) {
+      run_parallel_glauber(model, 990001 + burst, opt);
+      expect_band_split(model, owner);
+    }
+    EXPECT_TRUE(model.terminated());
+    EXPECT_TRUE(model.check_invariants());
+  };
+  for (const ShardLayout& layout :
+       {ShardLayout::stripes(p.n, p.w, 4),
+        ShardLayout::checkerboard(p.n, p.w, 2, 3)}) {
+    Rng init = Rng::stream(4001, 0);
+    SchellingModel model(p, init, layout);
+    run_audited(model, [&](std::uint32_t id) { return layout.shard_of(id); });
+  }
+  const auto graph = regular_graph();
+  const GraphPartition partition = GraphPartition::greedy_bfs(*graph, 4);
+  ASSERT_GT(partition.boundary_site_count(), 0u);
+  Rng init = Rng::stream(4002, 0);
+  SchellingModel model(p, graph, init, partition);
+  run_audited(model,
+              [&](std::uint32_t id) { return partition.part_of(id); });
+}
+
+// All +1 except isolated -1 agents at the given sites: exactly those
+// agents are flippable (tau = 0.45, w = 2), and flipping each once ends
+// the run.
+std::vector<std::int8_t> plus_sea_with(int n,
+                                       const std::vector<std::uint32_t>& ids) {
+  std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n, 1);
+  for (const std::uint32_t id : ids) spins[id] = -1;
+  return spins;
+}
+
+TEST(ShardedDifferential, BoundaryOnlyEndgameTerminates) {
+  // Every flippable site is in the band: the interior chains have nothing
+  // to do, and the band chain alone must absorb the run.
+  ModelParams p{.n = 64, .w = 2, .tau = 0.45, .p = 0.5};
+  const ShardLayout layout = ShardLayout::stripes(p.n, p.w, 4);
+  std::vector<std::uint32_t> minus;
+  for (int s = 0; s < 4; ++s) {
+    for (const int y : {16 * s, 16 * s + 1, 16 * s + 15}) {
+      for (const int x : {3, 20, 41}) {
+        minus.push_back(static_cast<std::uint32_t>(y * p.n + x + s));
+      }
+    }
+  }
+  SchellingModel model(p, plus_sea_with(p.n, minus), layout);
+  ASSERT_EQ(model.count_flippable(), minus.size());
+  for (int s = 0; s < 4; ++s) {
+    ASSERT_EQ(model.flippable_set(s).interior_size(), 0u);
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    SchellingModel run_model(p, plus_sea_with(p.n, minus), layout);
+    ParallelOptions opt;
+    opt.threads = threads;
+    const ParallelRunResult run = run_parallel_glauber(run_model, 4003, opt);
+    EXPECT_TRUE(run.terminated);
+    EXPECT_EQ(run.flips, minus.size());
+    EXPECT_EQ(run.deferred, minus.size());
+    EXPECT_EQ(run.reconciled, minus.size());
+    EXPECT_LT(run.sweeps, 64u);
+    EXPECT_TRUE(run_model.check_invariants());
+    for (std::uint32_t id = 0; id < run_model.agent_count(); ++id) {
+      ASSERT_FALSE(run_model.is_flippable(id)) << "site " << id;
+    }
+  }
+}
+
+TEST(ShardedDifferential, EmptyBandSweepMakesProgress) {
+  // No band site is ever flippable: phase B has nothing to draw, and each
+  // sweep must still advance the interiors instead of spinning.
+  ModelParams p{.n = 64, .w = 2, .tau = 0.45, .p = 0.5};
+  const ShardLayout layout = ShardLayout::stripes(p.n, p.w, 4);
+  std::vector<std::uint32_t> minus;
+  for (int s = 0; s < 4; ++s) {
+    for (const int x : {5, 30, 50}) {
+      minus.push_back(static_cast<std::uint32_t>((16 * s + 7) * p.n + x));
+    }
+  }
+  SchellingModel model(p, plus_sea_with(p.n, minus), layout);
+  std::size_t band = 0;
+  for (int s = 0; s < 4; ++s) band += model.flippable_set(s).band_size();
+  ASSERT_EQ(band, 0u);
+  ASSERT_EQ(model.count_flippable(), minus.size());
+
+  ParallelOptions opt;
+  opt.max_sweeps = 1;
+  std::uint64_t flips = 0;
+  std::uint64_t sweeps = 0;
+  while (!model.terminated()) {
+    ASSERT_LT(sweeps, 64u) << "no progress";
+    const ParallelRunResult run =
+        run_parallel_glauber(model, 4004 + sweeps, opt);
+    EXPECT_EQ(run.sweeps, 1u);
+    EXPECT_EQ(run.deferred, 0u);
+    flips += run.flips;
+    ++sweeps;
+  }
+  EXPECT_EQ(flips, minus.size());
+  EXPECT_TRUE(model.check_invariants());
+
+  // The first sweep alone flips something.
+  SchellingModel fresh(p, plus_sea_with(p.n, minus), layout);
+  EXPECT_GT(run_parallel_glauber(fresh, 4005, opt).flips, 0u);
+}
+
+TEST(ShardedDifferential, ThreadInvariantOnEveryShardingScheme) {
+  // Stripes, a checkerboard and a multi-part graph partition, each at 1,
+  // 2 and 4 threads: the same trajectory bitwise.
+  ModelParams p{.n = 60, .w = 2, .tau = 0.45, .p = 0.5};
+  const auto graph = regular_graph();
+  const GraphPartition partition = GraphPartition::greedy_bfs(*graph, 4);
+  for (int scheme = 0; scheme < 3; ++scheme) {
+    std::uint64_t reference_hash = 0;
+    ParallelRunResult reference;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      Rng init = Rng::stream(4006, 0);
+      SchellingModel model =
+          scheme == 0 ? SchellingModel(p, init,
+                                       ShardLayout::stripes(p.n, p.w, 4))
+          : scheme == 1
+              ? SchellingModel(p, init,
+                               ShardLayout::checkerboard(p.n, p.w, 2, 2))
+              : SchellingModel(p, graph, init, partition);
+      ParallelOptions opt;
+      opt.threads = threads;
+      const ParallelRunResult run = run_parallel_glauber(model, 4007, opt);
+      EXPECT_TRUE(run.terminated);
+      EXPECT_TRUE(model.check_invariants());
+      EXPECT_GT(run.deferred, 0u) << "scheme " << scheme;
+      const std::uint64_t h = hash_state(model, run.flips, run.sweeps);
+      if (threads == 1) {
+        reference_hash = h;
+        reference = run;
+        continue;
+      }
+      EXPECT_EQ(h, reference_hash)
+          << "scheme " << scheme << ", " << threads << " threads";
+      EXPECT_EQ(run.flips, reference.flips);
+      EXPECT_EQ(run.deferred, reference.deferred);
+      EXPECT_EQ(run.reconciled, reference.reconciled);
+      EXPECT_EQ(run.final_time, reference.final_time);
+    }
+  }
+}
+
+TEST(ShardedDifferential, MaxFlipsOvershootsByAtMostTheShardCount) {
+  // The k interior chains and the band chain share the remaining budget.
+  ModelParams p{.n = 64, .w = 2, .tau = 0.45, .p = 0.5};
+  for (const std::uint64_t budget : {1u, 5u, 777u}) {
+    Rng init = Rng::stream(4008, 0);
+    SchellingModel model(p, init, ShardLayout::stripes(p.n, p.w, 4));
+    ParallelOptions opt;
+    opt.max_flips = budget;
+    const ParallelRunResult run = run_parallel_glauber(model, 4009, opt);
+    EXPECT_GE(run.flips, budget);
+    EXPECT_LE(run.flips, budget + 4);
+    EXPECT_TRUE(model.check_invariants());
+  }
 }
 
 TEST(ShardedDifferential, RunResultAdapter) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +49,38 @@ TEST(ThreadPool, ReusableAfterWait) {
 TEST(ThreadPool, DefaultThreadCountPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
+}
+
+TEST(ThreadTeam, EachIndexRunsOnItsOwnThreadEveryRound) {
+  ThreadTeam team(3, 7);
+  EXPECT_EQ(team.width(), 3u);
+  std::vector<std::thread::id> first(7), seen(7);
+  std::vector<int> hits(7, 0);
+  for (int round = 0; round < 50; ++round) {
+    team.run([&](std::size_t i) {
+      seen[i] = std::this_thread::get_id();
+      ++hits[i];
+    });
+    if (round == 0) first = seen;
+    EXPECT_EQ(seen, first) << "round " << round;
+  }
+  for (const int h : hits) EXPECT_EQ(h, 50);
+  // Index i runs on thread i % width; index 0 on the caller.
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  EXPECT_EQ(first[3], first[0]);
+  EXPECT_EQ(first[4], first[1]);
+  EXPECT_NE(first[1], first[0]);
+  EXPECT_NE(first[2], first[1]);
+}
+
+TEST(ThreadTeam, WidthClampsToCount) {
+  EXPECT_EQ(ThreadTeam(8, 2).width(), 2u);
+  EXPECT_EQ(ThreadTeam(0, 2).width(), 1u);
+  ThreadTeam empty(4, 0);
+  EXPECT_EQ(empty.width(), 1u);
+  int calls = 0;
+  empty.run([&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(RunTrials, ThreadCountDoesNotChangeResults) {
